@@ -12,11 +12,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .data import (
+    SPLITS,
     denormalize,
     format_time,
     load_cache,
@@ -34,67 +36,39 @@ from .errors import (
 )
 from .models import KINDS, ForecastModel, ModelSpec, build_model
 from .plot import line_chart
-from .training import TrainConfig, compare, metrics, train
+from .training import OPTIMIZERS, TrainConfig, compare, metrics, train
 
 DEFAULT_OUT = "metroflow_out"
 DATASET_FILE = "dataset.bin"
 
+#: Settings passed through to TrainConfig and ModelSpec (``seed`` feeds both).
+#: Their defaults, and those of prepare's window and horizon, are the
+#: dataclass field defaults.
+TRAIN_KEYS = ("epochs", "learning_rate", "batch_size", "optimizer", "seed")
+SPEC_KEYS = ("hidden_size", "conv_filters", "d_k", "seed")
+
 DEFAULTS = {
     "model": "mstim",
-    "window": 24,
-    "horizon": 1,
-    "hidden_size": 64,
-    "conv_filters": 16,
-    "d_k": 64,
-    "epochs": 10,
-    "learning_rate": 0.001,
-    "batch_size": 32,
-    "seed": 0,
-    "optimizer": "adam",
     "plot": False,
     "split": "test",
     "raw": False,
+    **{f.name: f.default for cls in (ModelSpec, TrainConfig) for f in fields(cls)
+       if f.name in ("window", "horizon", *SPEC_KEYS, *TRAIN_KEYS)},
 }
 
+#: Every setting's type; those without a default are paths or timestamps.
 SETTING_TYPES = {
-    "out": str,
-    "csv": str,
-    "data": str,
-    "checkpoint": str,
-    "model": str,
-    "window": int,
-    "horizon": int,
-    "hidden_size": int,
-    "conv_filters": int,
-    "d_k": int,
-    "epochs": int,
-    "learning_rate": float,
-    "batch_size": int,
-    "seed": int,
-    "optimizer": str,
-    "plot": bool,
-    "split": str,
-    "raw": bool,
-    "from_ts": str,
-    "to_ts": str,
+    **{key: type(value) for key, value in DEFAULTS.items()},
+    **dict.fromkeys(("out", "csv", "data", "checkpoint", "from_ts", "to_ts"), str),
 }
 
-_CHOICES = {
-    "model": KINDS,
-    "optimizer": ("adam", "sgd"),
-    "split": ("train", "val", "test"),
-}
+_CHOICES = {"model": KINDS, "optimizer": tuple(OPTIMIZERS), "split": SPLITS}
 
 
 def _check_type(key: str, value) -> None:
     want = SETTING_TYPES[key]
-    if want is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif want is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, want)
-    if not ok:
+    accepted = (int, float) if want is float else want
+    if not isinstance(value, accepted) or (isinstance(value, bool) and want is not bool):
         raise ConfigError(f"setting {key!r} must be {want.__name__}, got {value!r}")
     if key in _CHOICES and value not in _CHOICES[key]:
         raise ConfigError(
@@ -125,15 +99,11 @@ class Settings:
         config_path = self._flags.get("config")
         self._file = _load_config_file(config_path) if config_path else {}
 
-    def get(self, key: str, fallback=None):
+    def get(self, key: str):
         value = self._flags.get(key)
         if value is not None:
             return value
-        if key in self._file:
-            return self._file[key]
-        if key in DEFAULTS:
-            return DEFAULTS[key]
-        return fallback
+        return self._file.get(key, DEFAULTS.get(key))
 
     def out_dir(self) -> Path:
         out = self.get("out") or os.environ.get("METROFLOW_OUT") or DEFAULT_OUT
@@ -159,13 +129,7 @@ def load_bundle(settings: Settings):
 
 
 def build_train_config(settings: Settings) -> TrainConfig:
-    config = TrainConfig(
-        epochs=settings.get("epochs"),
-        learning_rate=settings.get("learning_rate"),
-        batch_size=settings.get("batch_size"),
-        optimizer=settings.get("optimizer"),
-        seed=settings.get("seed"),
-    )
+    config = TrainConfig(**{key: settings.get(key) for key in TRAIN_KEYS})
     config.validate()
     return config
 
@@ -176,10 +140,7 @@ def model_spec_for(settings: Settings, bundle, kind: str) -> ModelSpec:
         input_features=bundle.input_features,
         window=bundle.window,
         horizon=bundle.horizon,
-        hidden_size=settings.get("hidden_size"),
-        conv_filters=settings.get("conv_filters"),
-        d_k=settings.get("d_k"),
-        seed=settings.get("seed"),
+        **{key: settings.get(key) for key in SPEC_KEYS},
     )
 
 
@@ -239,7 +200,6 @@ def cmd_prepare(settings: Settings) -> int:
 
 def cmd_train(settings: Settings) -> int:
     kind = settings.get("model")
-    _check_type("model", kind)
     config = build_train_config(settings)
     bundle = load_bundle(settings)
     model = build_model(model_spec_for(settings, bundle, kind))
@@ -260,9 +220,7 @@ def cmd_train(settings: Settings) -> int:
 
 def cmd_evaluate(settings: Settings) -> int:
     kind = settings.get("model")
-    _check_type("model", kind)
     split = settings.get("split")
-    _check_type("split", split)
     out = settings.out_dir()
     checkpoint = Path(settings.get("checkpoint") or out / f"model_{kind}.bin")
     if not checkpoint.exists():
@@ -314,7 +272,6 @@ def cmd_compare(settings: Settings) -> int:
 
 def cmd_predict(settings: Settings) -> int:
     kind = settings.get("model")
-    _check_type("model", kind)
     out = settings.out_dir()
     checkpoint = Path(settings.get("checkpoint") or out / f"model_{kind}.bin")
     if not checkpoint.exists():
@@ -359,22 +316,31 @@ COMMANDS = {
 }
 
 
+def _setting(sub: argparse.ArgumentParser, flag: str, key: str, help=None) -> None:
+    """Add the flag for one setting; its type and choices come from the tables above."""
+    if SETTING_TYPES[key] is bool:
+        sub.add_argument(flag, dest=key, action="store_true", default=None, help=help)
+    else:
+        sub.add_argument(flag, dest=key, type=SETTING_TYPES[key],
+                         choices=_CHOICES.get(key), help=help)
+
+
 def _common_flags(sub: argparse.ArgumentParser, with_data: bool = True) -> None:
-    sub.add_argument("--out", help="output directory (default $METROFLOW_OUT or ./metroflow_out)")
+    _setting(sub, "--out", "out", "output directory (default $METROFLOW_OUT or ./metroflow_out)")
     sub.add_argument("--config", help="JSON config file; flags take precedence")
     if with_data:
-        sub.add_argument("--data", help="prepared dataset cache (default <out>/dataset.bin)")
+        _setting(sub, "--data", "data", "prepared dataset cache (default <out>/dataset.bin)")
 
 
 def _training_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--epochs", type=int, help="training epochs")
-    sub.add_argument("--lr", dest="learning_rate", type=float, help="learning rate")
-    sub.add_argument("--batch", dest="batch_size", type=int, help="mini-batch size")
-    sub.add_argument("--seed", type=int, help="seed for weights and shuffling")
-    sub.add_argument("--optimizer", choices=_CHOICES["optimizer"])
-    sub.add_argument("--hidden-size", dest="hidden_size", type=int)
-    sub.add_argument("--conv-filters", dest="conv_filters", type=int)
-    sub.add_argument("--d-k", dest="d_k", type=int)
+    _setting(sub, "--epochs", "epochs", "training epochs")
+    _setting(sub, "--lr", "learning_rate", "learning rate")
+    _setting(sub, "--batch", "batch_size", "mini-batch size")
+    _setting(sub, "--seed", "seed", "seed for weights and shuffling")
+    _setting(sub, "--optimizer", "optimizer")
+    _setting(sub, "--hidden-size", "hidden_size")
+    _setting(sub, "--conv-filters", "conv_filters")
+    _setting(sub, "--d-k", "d_k")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,24 +352,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     prepare = sub.add_parser("prepare", help="ingest a CSV into a windowed dataset cache")
-    prepare.add_argument("--csv", help="path to the 9-column traffic CSV")
-    prepare.add_argument("--window", type=int, help="input window length in records")
-    prepare.add_argument("--horizon", type=int, help="forecast steps per window")
+    _setting(prepare, "--csv", "csv", "path to the 9-column traffic CSV")
+    _setting(prepare, "--window", "window", "input window length in records")
+    _setting(prepare, "--horizon", "horizon", "forecast steps per window")
     _common_flags(prepare, with_data=False)
 
     tr = sub.add_parser("train", help="train one model on a prepared dataset")
-    tr.add_argument("--model", choices=KINDS)
-    tr.add_argument("--plot", action="store_true", default=None,
-                    help="write an SVG of predicted vs actual on a test slice")
+    _setting(tr, "--model", "model")
+    _setting(tr, "--plot", "plot", "write an SVG of predicted vs actual on a test slice")
     _training_flags(tr)
     _common_flags(tr)
 
     ev = sub.add_parser("evaluate", help="score a checkpoint on one split")
-    ev.add_argument("--model", choices=KINDS, help="kind, used for the default checkpoint name")
-    ev.add_argument("--checkpoint", help="checkpoint path (default <out>/model_<kind>.bin)")
-    ev.add_argument("--split", choices=_CHOICES["split"])
-    ev.add_argument("--raw", action="store_true", default=None,
-                    help="also report metrics in vehicles/hour")
+    _setting(ev, "--model", "model", "kind, used for the default checkpoint name")
+    _setting(ev, "--checkpoint", "checkpoint", "checkpoint path (default <out>/model_<kind>.bin)")
+    _setting(ev, "--split", "split")
+    _setting(ev, "--raw", "raw", "also report metrics in vehicles/hour")
     _common_flags(ev)
 
     cp = sub.add_parser("compare", help="train all four model kinds and tabulate metrics")
@@ -411,10 +375,10 @@ def build_parser() -> argparse.ArgumentParser:
     _common_flags(cp)
 
     pr = sub.add_parser("predict", help="predict volumes for a timestamp range")
-    pr.add_argument("--model", choices=KINDS, help="kind, used for the default checkpoint name")
-    pr.add_argument("--checkpoint", help="checkpoint path (default <out>/model_<kind>.bin)")
-    pr.add_argument("--from", dest="from_ts", help="range start, YYYY-MM-DD HH:MM:SS")
-    pr.add_argument("--to", dest="to_ts", help="range end, YYYY-MM-DD HH:MM:SS")
+    _setting(pr, "--model", "model", "kind, used for the default checkpoint name")
+    _setting(pr, "--checkpoint", "checkpoint", "checkpoint path (default <out>/model_<kind>.bin)")
+    _setting(pr, "--from", "from_ts", "range start, YYYY-MM-DD HH:MM:SS")
+    _setting(pr, "--to", "to_ts", "range end, YYYY-MM-DD HH:MM:SS")
     _common_flags(pr)
 
     return parser

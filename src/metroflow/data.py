@@ -9,18 +9,26 @@ six hours.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
 import numpy as np
 
 from .errors import ConfigError, SchemaError, UsageError
+from .models import ModelSpec
 from .serialize import digest, read_blob, write_blob
 
 RAW_COLUMNS = (
     "holiday", "temp", "rain_1h", "snow_1h", "clouds_all",
     "weather_main", "weather_description", "date_time", "traffic_volume",
 )
+
+#: Float columns that must hold finite values.
+MEASURED_COLUMNS = ("temp", "rain_1h", "snow_1h", "clouds_all")
+
+#: Chronological splits, in timeline order.
+SPLITS = ("train", "val", "test")
 
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 _EPOCH = datetime(1970, 1, 1)
@@ -102,6 +110,10 @@ def parse_csv(path) -> ParseResult:
                 )
             except ValueError as err:
                 rejects.append({"line": line, "reason": str(err)})
+                continue
+            bad = [c for c in MEASURED_COLUMNS if not math.isfinite(getattr(record, c))]
+            if bad:
+                rejects.append({"line": line, "reason": f"non-finite {bad[0]}"})
                 continue
             if record.traffic_volume < 0:
                 rejects.append({"line": line, "reason": "negative traffic_volume"})
@@ -221,9 +233,6 @@ class Stats:
     def normalize(self, rows: np.ndarray) -> np.ndarray:
         return (rows - self.mean) / self.std
 
-    def normalize_volume(self, values):
-        return (np.asarray(values, dtype=np.float64) - self.mean[-1]) / self.std[-1]
-
 
 def denormalize(preds, stats: Stats):
     """Map standardized volume predictions back to vehicles per hour."""
@@ -319,14 +328,13 @@ def split_and_window(encoded: EncodedSeries, n: int, horizon: int,
     series = stats.normalize(encoded.features)
     times = encoded.times
 
-    spans = {"train": (0, train_end), "val": (train_end, val_end), "test": (val_end, length)}
-    starts = {name: _window_starts(times, lo, hi, n, horizon) for name, (lo, hi) in spans.items()}
+    spans = zip(SPLITS, ((0, train_end), (train_end, val_end), (val_end, length)))
+    starts = {name: _window_starts(times, lo, hi, n, horizon) for name, (lo, hi) in spans}
     sets = {name: _materialize(series, times, starts[name], n, horizon, name, stats)
-            for name in spans}
+            for name in SPLITS}
 
     bundle = DatasetBundle(
-        train=sets["train"], val=sets["val"], test=sets["test"],
-        stats=stats, vocab=encoded.vocab, window=n, horizon=horizon,
+        **sets, stats=stats, vocab=encoded.vocab, window=n, horizon=horizon,
         series=series, times=times, bounds=(train_end, val_end), starts=starts,
     )
     bundle.data_hash = _bundle_hash(bundle)
@@ -346,7 +354,7 @@ def _bundle_hash(bundle: DatasetBundle) -> str:
     })
 
 
-def prepare_dataset(csv_path, n: int = 24, horizon: int = 1,
+def prepare_dataset(csv_path, n: int = ModelSpec.window, horizon: int = ModelSpec.horizon,
                     ratios=(0.7, 0.1, 0.2)) -> DatasetBundle:
     """Full pipeline from CSV to windowed splits, with a run summary.
 
@@ -373,10 +381,9 @@ def prepare_dataset(csv_path, n: int = 24, horizon: int = 1,
         "window": n,
         "horizon": horizon,
         "ratios": list(ratios),
-        "split_rows": {"train": train_end, "val": bundle.bounds[1] - train_end,
-                       "test": len(records) - bundle.bounds[1]},
-        "window_counts": {name: int(len(bundle.starts[name]))
-                          for name in ("train", "val", "test")},
+        "split_rows": dict(zip(SPLITS, (train_end, bundle.bounds[1] - train_end,
+                                        len(records) - bundle.bounds[1]))),
+        "window_counts": {name: int(len(bundle.starts[name])) for name in SPLITS},
     }
     return bundle
 
@@ -388,9 +395,7 @@ def save_cache(bundle: DatasetBundle, path) -> None:
         "times": bundle.times,
         "mean": bundle.stats.mean,
         "std": bundle.stats.std,
-        "starts_train": bundle.starts["train"].astype(np.float64),
-        "starts_val": bundle.starts["val"].astype(np.float64),
-        "starts_test": bundle.starts["test"].astype(np.float64),
+        **{f"starts_{name}": bundle.starts[name].astype(np.float64) for name in SPLITS},
     }
     meta = {
         "kind": DATASET_FORMAT,
@@ -413,13 +418,11 @@ def load_cache(path) -> DatasetBundle:
     horizon = int(meta["horizon"])
     series = arrays["series"]
     times = arrays["times"]
-    starts = {name: arrays[f"starts_{name}"].astype(np.int64)
-              for name in ("train", "val", "test")}
+    starts = {name: arrays[f"starts_{name}"].astype(np.int64) for name in SPLITS}
     sets = {name: _materialize(series, times, starts[name], n, horizon, name, stats)
-            for name in ("train", "val", "test")}
+            for name in SPLITS}
     bundle = DatasetBundle(
-        train=sets["train"], val=sets["val"], test=sets["test"],
-        stats=stats, vocab=tuple(meta["vocab"]), window=n, horizon=horizon,
+        **sets, stats=stats, vocab=tuple(meta["vocab"]), window=n, horizon=horizon,
         series=series, times=times, bounds=tuple(meta["bounds"]), starts=starts,
         summary=meta.get("summary", {}), data_hash=meta.get("data_hash", ""),
     )

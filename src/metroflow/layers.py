@@ -1,4 +1,4 @@
-"""Neural building blocks: LSTM cell, 1-D convolution, attention, dense, pooling.
+"""Neural building blocks: LSTM cell, 1-D convolution, attention and dense.
 
 Every layer accepts a single sequence ([n, channels]) or a batch with a
 leading axis ([batch, n, channels]); the batched path is the primary code
@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DimensionError, UsageError
-from .tensor import Tensor, _accum, concat, softmax
+from .tensor import Tensor, concat, softmax
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:
@@ -201,40 +201,6 @@ class AttentionHead:
         out = weights @ (h3 @ self.W_V)
         return out.reshape(out.shape[1:]) if single else out
 
-    def weights(self, h: Tensor) -> Tensor:
-        """Row-stochastic attention weight matrix for the given sequence."""
-        h3, single = _lift(h, self.d_model, "attention")
-        w = softmax(self._scores(h3), axis=-1)
-        return w.reshape(w.shape[1:]) if single else w
-
     def parameters(self) -> dict[str, Tensor]:
         return {"W_Q": self.W_Q, "W_K": self.W_K, "W_V": self.W_V}
 
-
-def maxpool1d(x: Tensor, window: int = 2) -> Tensor:
-    """Non-overlapping max pooling over time; [.., n, c] -> [.., n//window, c].
-
-    The gradient routes to the first maximal index of each window.
-    """
-    single = x.ndim == 2
-    if x.ndim not in (2, 3):
-        raise DimensionError(f"maxpool1d expects a 2-D or 3-D input, got shape {x.shape}")
-    data = x.data if not single else x.data[None]
-    batch, n, channels = data.shape
-    if n < window:
-        raise DimensionError(f"sequence length {n} shorter than pool window {window}")
-    m = n // window
-    view = data[:, :m * window, :].reshape(batch, m, window, channels)
-    out = view.max(axis=2)
-    idx = view.argmax(axis=2)  # first index on ties
-
-    def backward(g):
-        if single:
-            g = g[None]
-        buf = np.zeros_like(view)
-        np.put_along_axis(buf, idx[:, :, None, :], g[:, :, None, :], axis=2)
-        gx = np.zeros_like(data)
-        gx[:, :m * window, :] = buf.reshape(batch, m * window, channels)
-        _accum(x, gx if not single else gx[0])
-
-    return Tensor._from_op(out if not single else out[0], (x,), backward)

@@ -8,7 +8,7 @@ branch keeps the full temporal resolution expected by the recurrent stage.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -64,8 +64,6 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        d = dict(d)
-        d["kernel_sizes"] = tuple(d.get("kernel_sizes", (3, 5, 7)))
         return cls(**d)
 
 

@@ -56,13 +56,20 @@ def read_blob(path) -> tuple[dict[str, np.ndarray], dict]:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"{path} is not a metroflow blob: bad header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise SchemaError(f"{path} is not a metroflow blob: header is not a JSON object")
     if header.get("format") != FORMAT:
         raise SchemaError(f"{path} has format {header.get('format')!r}, expected {FORMAT!r}")
+    if not isinstance(header.get("entries"), list) or not isinstance(header.get("meta"), dict):
+        raise SchemaError(f"{path} header lacks its entries list or meta object")
     arrays = {}
     for entry in header["entries"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start < 0 or start + 8 * count > len(payload):
+            raise SchemaError(f"{path} is truncated: entry {entry['name']!r} needs bytes "
+                              f"{start}..{start + 8 * count} of {len(payload)}")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
         arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
     return arrays, header["meta"]

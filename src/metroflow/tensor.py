@@ -132,28 +132,11 @@ class Tensor:
     def __add__(self, other):
         return _elementwise_binary(self, other, np.add, lambda g, a, b: (g, g))
 
-    def __radd__(self, other):
-        return self.__add__(other)
-
     def __sub__(self, other):
         return _elementwise_binary(self, other, np.subtract, lambda g, a, b: (g, -g))
 
-    def __rsub__(self, other):
-        return _as_tensor(other).__sub__(self)
-
     def __mul__(self, other):
         return _elementwise_binary(self, other, np.multiply, lambda g, a, b: (g * b, g * a))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return self * -1.0
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise UsageError("division is supported by python scalars only")
-        return self * (1.0 / other)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -173,13 +156,6 @@ class Tensor:
     def sigmoid(self):
         out = expit(self.data)
         return Tensor._from_op(out, (self,), lambda g: _accum(self, g * out * (1.0 - out)))
-
-    def exp(self):
-        out = np.exp(self.data)
-        return Tensor._from_op(out, (self,), lambda g: _accum(self, g * out))
-
-    def softmax(self, axis: int = -1):
-        return softmax(self, axis=axis)
 
     # -- reductions ---------------------------------------------------------
 

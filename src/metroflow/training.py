@@ -48,8 +48,9 @@ class TrainConfig:
         for name in ("learning_rate", "batch_size", "eps", "grad_clip"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"optimizer must be one of {', '.join(OPTIMIZERS)}, "
+                              f"got {self.optimizer!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -74,17 +75,14 @@ class TrainReport:
     test: MetricTriple | None = None
     elapsed_seconds: float = 0.0
 
-    def to_dict(self, with_timing: bool = False) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        return {
             "model_kind": self.model_kind,
             "seed": self.seed,
             "config": self.config,
             "epochs": self.epochs,
             "test": self.test.to_dict() if self.test else None,
         }
-        if with_timing:
-            d["elapsed_seconds"] = self.elapsed_seconds
-        return d
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -112,8 +110,10 @@ def metrics(pred, target) -> MetricTriple:
 class Adam:
     """Bias-corrected adaptive moment optimizer over a parameter registry."""
 
-    def __init__(self, params: dict[str, Tensor], learning_rate: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor],
+                 learning_rate: float = TrainConfig.learning_rate,
+                 beta1: float = TrainConfig.beta1, beta2: float = TrainConfig.beta2,
+                 eps: float = TrainConfig.eps):
         self.params = params
         self.lr = learning_rate
         self.beta1 = beta1
@@ -141,7 +141,8 @@ class Adam:
 class Sgd:
     """Plain gradient descent; same step/zero contract as Adam."""
 
-    def __init__(self, params: dict[str, Tensor], learning_rate: float = 0.001):
+    def __init__(self, params: dict[str, Tensor],
+                 learning_rate: float = TrainConfig.learning_rate):
         self.params = params
         self.lr = learning_rate
         self.t = 0
@@ -154,11 +155,15 @@ class Sgd:
                 p.grad = None
 
 
+#: Optimizer name -> constructor from a parameter registry and a TrainConfig.
+OPTIMIZERS = {
+    "adam": lambda params, c: Adam(params, c.learning_rate, c.beta1, c.beta2, c.eps),
+    "sgd": lambda params, c: Sgd(params, c.learning_rate),
+}
+
+
 def make_optimizer(params: dict[str, Tensor], config: TrainConfig):
-    if config.optimizer == "sgd":
-        return Sgd(params, learning_rate=config.learning_rate)
-    return Adam(params, learning_rate=config.learning_rate, beta1=config.beta1,
-                beta2=config.beta2, eps=config.eps)
+    return OPTIMIZERS[config.optimizer](params, config)
 
 
 def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
@@ -241,14 +246,14 @@ class ComparisonResult:
     reports: dict  # kind -> TrainReport
     note: str = REFERENCE_NOTE
 
-    def to_dict(self, with_timing: bool = False) -> dict:
+    def to_dict(self) -> dict:
         return {
             "note": self.note,
             "rows": [
                 {"model": r.kind, "ours": r.ours.to_dict(), "reference": r.reference}
                 for r in self.rows
             ],
-            "reports": {k: r.to_dict(with_timing) for k, r in self.reports.items()},
+            "reports": {k: r.to_dict() for k, r in self.reports.items()},
         }
 
     def to_csv(self) -> str:

@@ -118,6 +118,13 @@ class TestTrain:
     def test_missing_dataset_exit_two(self, tmp_path):
         assert run("train", "--model", "mstim", "--out", tmp_path, *SMALL) == 2
 
+    def test_truncated_dataset_exit_two(self, workspace, tmp_path, capsys):
+        data = tmp_path / "dataset.bin"
+        data.write_bytes((workspace["out"] / "dataset.bin").read_bytes()[:-100])
+        assert run("train", "--model", "mstim", "--out", tmp_path,
+                   "--data", data, *SMALL) == 2
+        assert "dataset.bin is truncated" in capsys.readouterr().err
+
     def test_runtime_failure_exit_one(self, workspace, tmp_path, monkeypatch):
         from metroflow.errors import NumericError
 
@@ -151,9 +158,17 @@ class TestConfigFile:
                    "--config", cfg) == 2
         assert "epoch" in capsys.readouterr().err
 
-    def test_wrong_type_exit_two(self, workspace, tmp_path):
+    @pytest.mark.parametrize("setting", [
+        {"epochs": "ten"},
+        {"optimizer": "rmsprop"},
+        {"split": "holdout"},
+        {"model": "transformer"},
+        {"epochs": True},
+    ], ids=["epochs-str", "optimizer-rmsprop", "split-holdout", "model-transformer",
+            "epochs-bool"])
+    def test_wrong_type_exit_two(self, workspace, tmp_path, setting):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"epochs": "ten"}))
+        cfg.write_text(json.dumps(setting))
         assert run("train", "--model", "mstim", "--out", tmp_path,
                    "--config", cfg) == 2
 
@@ -178,6 +193,15 @@ class TestEvaluate:
         payload = json.loads((out / "evaluation_lstm_attention.json").read_text())
         m = payload["standardized"]
         assert abs(m["rmse"] ** 2 - m["mse"]) <= 1e-10
+
+    def test_truncated_checkpoint_exit_two(self, workspace, tmp_path, capsys):
+        blob = (workspace["out"] / "model_lstm_attention.bin").read_bytes()
+        checkpoint = tmp_path / "cut.bin"
+        checkpoint.write_bytes(blob[:-100])
+        assert run("evaluate", "--model", "lstm_attention", "--out", tmp_path,
+                   "--checkpoint", checkpoint,
+                   "--data", workspace["out"] / "dataset.bin") == 2
+        assert "cut.bin is truncated" in capsys.readouterr().err
 
     def test_missing_checkpoint_exit_two(self, workspace, tmp_path):
         assert run("evaluate", "--model", "cnn_attention", "--out", tmp_path,
@@ -296,7 +320,60 @@ class TestPredict:
         assert code == 2
 
 
+KINDS = ("mstim", "lstm_attention", "cnn_attention", "lstm_cnn")
+
+#: The CLI's settings surface: config key -> (flag, type, default, choices).
+SURFACE = {
+    "out": ("--out", str, None, None),
+    "csv": ("--csv", str, None, None),
+    "data": ("--data", str, None, None),
+    "checkpoint": ("--checkpoint", str, None, None),
+    "model": ("--model", str, "mstim", KINDS),
+    "window": ("--window", int, 24, None),
+    "horizon": ("--horizon", int, 1, None),
+    "hidden_size": ("--hidden-size", int, 64, None),
+    "conv_filters": ("--conv-filters", int, 16, None),
+    "d_k": ("--d-k", int, 64, None),
+    "epochs": ("--epochs", int, 10, None),
+    "learning_rate": ("--lr", float, 0.001, None),
+    "batch_size": ("--batch", int, 32, None),
+    "seed": ("--seed", int, 0, None),
+    "optimizer": ("--optimizer", str, "adam", ("adam", "sgd")),
+    "plot": ("--plot", bool, False, None),
+    "split": ("--split", str, "test", ("train", "val", "test")),
+    "raw": ("--raw", bool, False, None),
+    "from_ts": ("--from", str, None, None),
+    "to_ts": ("--to", str, None, None),
+}
+
+
 class TestParser:
+    def test_settings_surface_pinned(self):
+        assert cli.SETTING_TYPES == {k: t for k, (_, t, _, _) in SURFACE.items()}
+        defaults = {k: d for k, (_, _, d, _) in SURFACE.items() if d is not None}
+        assert cli.DEFAULTS == defaults
+        assert all(type(cli.DEFAULTS[k]) is type(v) for k, v in defaults.items())
+        choices = {k: c for k, (_, _, _, c) in SURFACE.items() if c is not None}
+        assert {k: tuple(c) for k, c in cli._CHOICES.items()} == choices
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        assert set(commands) == {"prepare", "train", "evaluate", "compare", "predict"}
+        seen = set()
+        for sub in commands.values():
+            for action in sub._actions:
+                if action.dest in ("help", "config"):
+                    continue
+                assert action.dest in SURFACE, action.dest
+                flag, want_type, _, want_choices = SURFACE[action.dest]
+                assert action.option_strings == [flag]
+                if want_type is bool:
+                    assert action.nargs == 0 and action.default is None
+                else:
+                    assert (action.type or str) is want_type
+                assert (tuple(action.choices) if action.choices else None) == want_choices
+                seen.add(action.dest)
+        assert seen == set(SURFACE)
+
     def test_no_command_exits_two(self):
         with pytest.raises(SystemExit) as err:
             cli.main([])

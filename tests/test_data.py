@@ -131,13 +131,21 @@ class TestParse:
             "None,280,0,0,150,Clouds,x,2016-01-01 01:00:00,10",
             "None,280,0,0,40,Clouds,x,01/02/2016,10",
             "None,280,0,0,40,Clouds,x,2016-01-01 03:00:00",
+            "None,nan,0,0,40,Clouds,x,2016-01-01 04:00:00,10",
+            "None,280,inf,0,40,Clouds,x,2016-01-01 05:00:00,10",
+            "None,280,0,-inf,40,Clouds,x,2016-01-01 06:00:00,10",
         ]) + "\n")
         result = parse_csv(path)
         assert result.records == []
         reasons = " | ".join(r["reason"] for r in result.rejects)
         assert "traffic_volume" in reasons
         assert "clouds_all" in reasons
-        assert len(result.rejects) == 4
+        assert len(result.rejects) == 7
+        assert result.rejects[4:] == [
+            {"line": 6, "reason": "non-finite temp"},
+            {"line": 7, "reason": "non-finite rain_1h"},
+            {"line": 8, "reason": "non-finite snow_1h"},
+        ]
 
 
 class TestClean:
@@ -320,7 +328,7 @@ class TestDenormalize:
         e = hourly_series(100)
         b = split_and_window(e, n=6, horizon=1)
         raw = e.features[:20, -1]
-        back = denormalize(b.stats.normalize_volume(raw), b.stats)
+        back = denormalize(b.stats.normalize(e.features[:20])[:, -1], b.stats)
         np.testing.assert_allclose(back, raw, atol=1e-12 * max(1.0, np.abs(raw).max()))
 
     def test_zero_maps_to_mean(self):

@@ -3,7 +3,7 @@ import pytest
 
 from gradcheck import assert_gradients_match
 from metroflow.errors import ConfigError, DimensionError, UsageError
-from metroflow.layers import AttentionHead, Conv1d, Dense, LstmCell, glorot_uniform, maxpool1d
+from metroflow.layers import AttentionHead, Conv1d, Dense, LstmCell, glorot_uniform
 from metroflow.tensor import Tensor
 
 
@@ -173,46 +173,6 @@ class TestConv1d:
             np.testing.assert_allclose(out.data[i], conv(Tensor(batch[i])).data, atol=1e-12)
 
 
-class TestMaxPool:
-    def test_values(self):
-        out = maxpool1d(Tensor(np.array([[1.0], [3.0], [2.0], [2.0]])))
-        np.testing.assert_array_equal(out.data, [[3.0], [2.0]])
-
-    def test_constant_sequence(self):
-        out = maxpool1d(Tensor(np.full((6, 2), 4.0)))
-        np.testing.assert_array_equal(out.data, np.full((3, 2), 4.0))
-
-    def test_gradient_routes_to_max(self):
-        x = Tensor(np.array([[1.0], [3.0]]), requires_grad=True)
-        maxpool1d(x).sum().backward()
-        np.testing.assert_array_equal(x.grad, [[0.0], [1.0]])
-
-    def test_tie_breaks_to_first(self):
-        x = Tensor(np.array([[2.0], [2.0]]), requires_grad=True)
-        maxpool1d(x).sum().backward()
-        np.testing.assert_array_equal(x.grad, [[1.0], [0.0]])
-
-    def test_odd_length_drops_tail(self):
-        x = Tensor(np.array([[1.0], [5.0], [9.0]]), requires_grad=True)
-        out = maxpool1d(x)
-        np.testing.assert_array_equal(out.data, [[5.0]])
-        out.sum().backward()
-        np.testing.assert_array_equal(x.grad, [[0.0], [1.0], [0.0]])
-
-    def test_too_short_rejected(self):
-        with pytest.raises(DimensionError):
-            maxpool1d(Tensor(np.zeros((1, 2))))
-
-    def test_gradients_random(self):
-        # ties are measure-zero under uniform draws; keep values distinct
-        x = make_rng(31).uniform(-2, 2, (6, 3))
-
-        def fn(xv):
-            return (maxpool1d(xv) * maxpool1d(xv)).sum()
-
-        assert_gradients_match(fn, [x])
-
-
 class TestAttention:
     def test_single_row_passes_value_through(self):
         head = AttentionHead(3, 2, make_rng(1))
@@ -227,11 +187,6 @@ class TestAttention:
         expected = row @ head.W_V.data
         for i in range(5):
             np.testing.assert_allclose(out.data[i], expected, atol=1e-14)
-
-    def test_weight_rows_sum_to_one(self):
-        head = AttentionHead(4, 3, make_rng(5))
-        w = head.weights(Tensor(make_rng(6).uniform(-2, 2, (7, 4))))
-        np.testing.assert_allclose(w.data.sum(axis=-1), np.ones(7), atol=1e-12)
 
     def test_outputs_in_value_hull(self):
         head = AttentionHead(4, 3, make_rng(7))

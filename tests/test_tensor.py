@@ -64,7 +64,7 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             Tensor(np.zeros(3)) + Tensor(np.zeros(4))
 
-    @pytest.mark.parametrize("op", ["add", "sub", "mul", "tanh", "sigmoid", "relu", "exp"])
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "tanh", "sigmoid", "relu"])
     def test_gradients_random(self, op):
         rng = np.random.default_rng(hash(op) % 2**32)
         a = rng.uniform(-2, 2, (3, 4))
@@ -76,7 +76,6 @@ class TestElementwise:
             "tanh": lambda x, y: (x.tanh() * y).sum(),
             "sigmoid": lambda x, y: (x.sigmoid() * y).sum(),
             "relu": lambda x, y: (x.relu() * y).sum(),
-            "exp": lambda x, y: ((x * 0.3).exp() * y).sum(),
         }
         # keep relu inputs away from the kink
         if op == "relu":
