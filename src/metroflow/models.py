@@ -17,7 +17,14 @@ from .layers import AttentionHead, Conv1d, Dense, LstmCell
 from .serialize import read_blob, write_blob
 from .tensor import Tensor, concat, no_grad
 
-KINDS = ("mstim", "lstm_attention", "cnn_attention", "lstm_cnn")
+#: Each kind's stages in forward order; the head reads the last stage's width.
+STAGES = {
+    "mstim": ("conv", "lstm", "attention"),
+    "lstm_attention": ("lstm", "attention"),
+    "cnn_attention": ("conv", "attention"),
+    "lstm_cnn": ("conv", "lstm"),
+}
+KINDS = tuple(STAGES)
 
 
 @dataclass(frozen=True)
@@ -92,37 +99,26 @@ class ForecastModel:
         spec.validate()
         self.spec = spec
         rng = np.random.default_rng(spec.seed)
-        fused = len(spec.kernel_sizes) * spec.conv_filters
-        self.convs = []
-        self.lstm = None
-        self.attention = None
-
-        if spec.kind in ("mstim", "cnn_attention", "lstm_cnn"):
-            self.convs = [
-                Conv1d(spec.input_features, spec.conv_filters, k, rng)
-                for k in spec.kernel_sizes
-            ]
-        if spec.kind in ("mstim", "lstm_attention", "lstm_cnn"):
-            lstm_in = spec.input_features if spec.kind == "lstm_attention" else fused
-            self.lstm = LstmCell(lstm_in, spec.hidden_size, rng)
-        if spec.kind in ("mstim", "lstm_attention", "cnn_attention"):
-            d_model = fused if spec.kind == "cnn_attention" else spec.hidden_size
-            self.attention = AttentionHead(d_model, spec.d_k, rng)
-        head_in = spec.hidden_size if spec.kind == "lstm_cnn" else spec.d_k
-        self.head = Dense(head_in, spec.horizon, rng)
-
-        self._params = {}
-        for i, conv in enumerate(self.convs):
-            for name, p in conv.parameters().items():
-                self._params[f"conv{spec.kernel_sizes[i]}/{name}"] = p
-        if self.lstm is not None:
-            for name, p in self.lstm.parameters().items():
-                self._params[f"lstm/{name}"] = p
-        if self.attention is not None:
-            for name, p in self.attention.parameters().items():
-                self._params[f"attention/{name}"] = p
-        for name, p in self.head.parameters().items():
-            self._params[f"head/{name}"] = p
+        self.convs, self.lstm, self.attention = [], None, None
+        named = []  # (registry prefix, layer) in build order
+        width = spec.input_features
+        for stage in STAGES[spec.kind]:
+            if stage == "conv":
+                self.convs = [Conv1d(width, spec.conv_filters, k, rng) for k in spec.kernel_sizes]
+                named += [(f"conv{k}", conv) for k, conv in zip(spec.kernel_sizes, self.convs)]
+                width = len(spec.kernel_sizes) * spec.conv_filters
+            elif stage == "lstm":
+                self.lstm = LstmCell(width, spec.hidden_size, rng)
+                named.append(("lstm", self.lstm))
+                width = spec.hidden_size
+            else:
+                self.attention = AttentionHead(width, spec.d_k, rng)
+                named.append(("attention", self.attention))
+                width = spec.d_k
+        self.head = Dense(width, spec.horizon, rng)
+        named.append(("head", self.head))
+        self._params = {f"{prefix}/{name}": p for prefix, layer in named
+                        for name, p in layer.parameters().items()}
 
         total = sum(p.size for p in self._params.values())
         expected = expected_param_count(spec)
@@ -136,16 +132,14 @@ class ForecastModel:
         return concat([conv(x3).relu() for conv in self.convs], axis=-1)
 
     def _forward3(self, x3: Tensor) -> Tensor:
-        kind = self.spec.kind
-        if kind == "mstim":
-            seq = self.lstm.unroll(self._multi_scale(x3))
+        seq = x3
+        if self.convs:
+            seq = self._multi_scale(seq)
+        if self.lstm is not None:
+            seq = self.lstm.unroll(seq)
+        if self.attention is not None:
             pooled = self.attention(seq).mean(axis=1)
-        elif kind == "lstm_attention":
-            pooled = self.attention(self.lstm.unroll(x3)).mean(axis=1)
-        elif kind == "cnn_attention":
-            pooled = self.attention(self._multi_scale(x3)).mean(axis=1)
-        else:  # lstm_cnn: last hidden state is the sequence read-out
-            seq = self.lstm.unroll(self._multi_scale(x3))
+        else:  # no attention: the last step is the sequence read-out
             pooled = seq[:, seq.shape[1] - 1, :]
         return self.head(pooled)
 
