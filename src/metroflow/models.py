@@ -143,17 +143,8 @@ class ForecastModel:
             pooled = seq[:, seq.shape[1] - 1, :]
         return self.head(pooled)
 
-    def forward(self, window) -> Tensor:
-        """Forecast from one window [n, d]; returns a length-T tensor."""
-        window = window if isinstance(window, Tensor) else Tensor(window)
-        expected = (self.spec.window, self.spec.input_features)
-        if window.shape != expected:
-            raise DimensionError(f"window shape {window.shape} does not match spec {expected}")
-        out = self._forward3(window.reshape(1, *expected))
-        return out.reshape(self.spec.horizon)
-
     def forward_batch(self, windows) -> Tensor:
-        """Forecast a batch [B, n, d]; row i equals forward(windows[i])."""
+        """Forecast a batch [B, n, d]; row i equals the one-row batch windows[i:i+1]."""
         windows = windows if isinstance(windows, Tensor) else Tensor(windows)
         expected = (self.spec.window, self.spec.input_features)
         if windows.ndim != 3 or windows.shape[1:] != expected:

@@ -17,7 +17,6 @@ import threading
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionError, NumericError, UsageError
 
@@ -154,25 +153,27 @@ class Tensor:
         return Tensor._from_op(out, (self,), lambda g: _accum(self, g * (1.0 - out * out)))
 
     def sigmoid(self):
-        out = expit(self.data)
+        # exp(-x) overflows to inf for x < -709, which gives the correct 0.0
+        with np.errstate(over="ignore"):
+            out = 1.0 / (1.0 + np.exp(-self.data))
         return Tensor._from_op(out, (self,), lambda g: _accum(self, g * out * (1.0 - out)))
 
     # -- reductions ---------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False):
-        out = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        out = self.data.sum(axis=axis)
 
         def backward(g):
-            _accum(self, _spread(g, self.data.shape, axis, keepdims))
+            _accum(self, _spread(g, self.data.shape, axis))
 
         return Tensor._from_op(out, (self,), backward)
 
-    def mean(self, axis=None, keepdims: bool = False):
+    def mean(self, axis=None):
         count = self.size if axis is None else self.data.shape[axis]
-        out = self.data.mean(axis=axis, keepdims=keepdims)
+        out = self.data.mean(axis=axis)
 
         def backward(g):
-            _accum(self, _spread(g, self.data.shape, axis, keepdims) / count)
+            _accum(self, _spread(g, self.data.shape, axis) / count)
 
         return Tensor._from_op(out, (self,), backward)
 
@@ -263,11 +264,9 @@ def _elementwise_binary(a: Tensor, other, fn, grads):
     return Tensor._from_op(out, (a, b), backward)
 
 
-def _spread(g, shape, axis, keepdims) -> np.ndarray:
+def _spread(g, shape, axis) -> np.ndarray:
     # inverse of a sum reduction: broadcast g back over the reduced axes
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
+    if axis is not None:
         g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape)
 

@@ -389,3 +389,10 @@ class TestParser:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "prepare" in proc.stdout and "compare" in proc.stdout
+
+    def test_runtime_loads_no_scipy(self):
+        code = ("import sys, metroflow.cli; "
+                "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

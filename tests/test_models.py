@@ -77,28 +77,28 @@ class TestForward:
     def test_output_shape(self, kind):
         for horizon in (1, 6):
             model = build_model(small_spec(kind, horizon=horizon))
-            out = model.forward(np.zeros((8, 5)))
-            assert out.shape == (horizon,)
+            out = model.forward_batch(np.zeros((1, 8, 5)))
+            assert out.shape == (1, horizon)
 
     def test_zero_head_outputs_bias(self):
         model = build_model(small_spec("mstim", horizon=3))
         model.head.W.data[...] = 0.0
         model.head.b.data[...] = [1.0, 2.0, 3.0]
-        out = model.forward(np.random.default_rng(0).uniform(-1, 1, (8, 5)))
-        np.testing.assert_allclose(out.data, [1.0, 2.0, 3.0], atol=1e-12)
+        out = model.forward_batch(np.random.default_rng(0).uniform(-1, 1, (1, 8, 5)))
+        np.testing.assert_allclose(out.data, [[1.0, 2.0, 3.0]], atol=1e-12)
 
     def test_window_shape_mismatch(self):
         model = build_model(small_spec("mstim"))
         with pytest.raises(DimensionError):
-            model.forward(np.zeros((8, 4)))
+            model.forward_batch(np.zeros((1, 8, 4)))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_no_dead_branch(self, kind):
         model = build_model(small_spec(kind, seed=3))
         rng = np.random.default_rng(4)
-        window = Tensor(rng.standard_normal((8, 5)))
-        target = Tensor(rng.standard_normal(1))
-        loss = mse_loss(model.forward(window).reshape(1, 1), target.reshape(1, 1))
+        window = Tensor(rng.standard_normal((1, 8, 5)))
+        target = Tensor(rng.standard_normal((1, 1)))
+        loss = mse_loss(model.forward_batch(window), target)
         loss.backward()
         for name, p in model.parameters().items():
             assert p.grad is not None, f"{name} got no gradient"
@@ -121,14 +121,14 @@ class TestBatch:
         windows = rng.standard_normal((32, 8, 5))
         batched = model.forward_batch(Tensor(windows)).data
         for i in range(32):
-            single = model.forward(Tensor(windows[i])).data
-            np.testing.assert_allclose(batched[i], single, atol=1e-12, rtol=0)
+            single = model.forward_batch(Tensor(windows[i:i + 1])).data
+            np.testing.assert_allclose(batched[i], single[0], atol=1e-12, rtol=0)
 
     def test_single_row_batch(self):
         model = build_model(small_spec("lstm_cnn", seed=9))
         w = np.random.default_rng(10).standard_normal((1, 8, 5))
-        np.testing.assert_allclose(model.forward_batch(Tensor(w)).data[0],
-                                   model.forward(Tensor(w[0])).data, atol=1e-12)
+        np.testing.assert_allclose(model.forward_batch(Tensor(w)).data, model.predict(w),
+                                   atol=1e-12)
 
     def test_shuffled_batch_shuffles_outputs(self):
         model = build_model(small_spec("cnn_attention", seed=11))

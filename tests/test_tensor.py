@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,15 @@ class TestElementwise:
 
     def test_sigmoid_at_zero(self):
         assert Tensor([0.0]).sigmoid().item() == 0.5
+        # far from zero it saturates to exact 0 and 1 without overflow warnings
+        x = Tensor([-800.0, -40.0, 40.0, 800.0], requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = x.sigmoid()
+            out.sum().backward()
+        assert out.data[0] == 0.0 and out.data[3] == 1.0
+        np.testing.assert_allclose(out.data[1:3], [np.exp(-40.0), 1.0], rtol=1e-15)
+        assert np.isfinite(x.grad).all()
 
     def test_tanh_gradient_at_zero(self):
         x = Tensor([0.0], requires_grad=True)
