@@ -281,25 +281,18 @@ def _boundaries(length: int, ratios) -> tuple:
 def _window_starts(times: np.ndarray, lo: int, hi: int, n: int, horizon: int) -> np.ndarray:
     """Window start rows inside [lo, hi) whose full n+T span avoids gaps."""
     starts = []
-    if hi - lo >= 1:
-        deltas = np.diff(times[lo:hi])
-        breaks = np.flatnonzero(deltas > MAX_GAP_SECONDS) + lo + 1
-        edges = [lo, *breaks.tolist(), hi]
-        for a, b in zip(edges[:-1], edges[1:]):
-            last_start = b - n - horizon
-            if last_start >= a:
-                starts.append(np.arange(a, last_start + 1))
+    breaks = np.flatnonzero(np.diff(times[lo:hi]) > MAX_GAP_SECONDS) + lo + 1
+    edges = [lo, *breaks.tolist(), hi]
+    for a, b in zip(edges[:-1], edges[1:]):
+        last_start = b - n - horizon
+        if last_start >= a:
+            starts.append(np.arange(a, last_start + 1))
     if not starts:
         return np.zeros(0, dtype=np.int64)
     return np.concatenate(starts)
 
 
 def _materialize(series, times, starts, n, horizon, split, stats) -> WindowedDataset:
-    if len(starts) == 0:
-        d = series.shape[1]
-        return WindowedDataset(split=split, windows=np.zeros((0, n, d)),
-                               targets=np.zeros((0, horizon)),
-                               target_times=np.zeros((0, horizon)), stats=stats)
     idx = starts[:, None] + np.arange(n)[None, :]
     tidx = starts[:, None] + n + np.arange(horizon)[None, :]
     return WindowedDataset(
@@ -409,24 +402,50 @@ def save_cache(bundle: DatasetBundle, path) -> None:
     write_blob(path, arrays, meta)
 
 
+def _cache_problem(arrays: dict, meta: dict) -> str | None:
+    """Why a loaded cache cannot be used, or None when it is consistent."""
+    n, horizon = meta.get("window"), meta.get("horizon")
+    if not (all(type(v) is int and v >= 1 for v in (n, horizon))
+            and isinstance(meta.get("vocab"), list) and isinstance(meta.get("bounds"), list)
+            and isinstance(meta.get("data_hash", ""), str)):
+        return "window, horizon, vocab, bounds or data_hash is missing or mistyped"
+    names = ("series", "times", "mean", "std", *(f"starts_{name}" for name in SPLITS))
+    missing = [name for name in names if name not in arrays]
+    if missing:
+        return f"missing arrays {missing}"
+    series = arrays["series"]
+    if series.ndim != 2 or arrays["times"].shape != series.shape[:1] or not (
+            arrays["mean"].shape == arrays["std"].shape == series.shape[1:]):
+        return "series, times, mean and std shapes disagree"
+    if not all(np.isfinite(arrays[name]).all() for name in names):
+        return "non-finite values"
+    last = len(series) - n - horizon
+    for name in SPLITS:
+        starts = arrays[f"starts_{name}"]
+        if starts.ndim != 1 or not np.all((starts == np.floor(starts)) & (starts >= 0)
+                                          & (starts <= last)):
+            return f"starts_{name} must hold integer rows in [0, {last}]"
+    return None
+
+
 def load_cache(path) -> DatasetBundle:
     arrays, meta = read_blob(path)
     if meta.get("kind") != DATASET_FORMAT:
         raise SchemaError(f"{path}: not a dataset cache (kind={meta.get('kind')!r})")
+    problem = _cache_problem(arrays, meta)
+    if problem:
+        raise SchemaError(f"{path}: malformed dataset cache: {problem}")
     stats = Stats(mean=arrays["mean"], std=arrays["std"])
-    n = int(meta["window"])
-    horizon = int(meta["horizon"])
-    series = arrays["series"]
-    times = arrays["times"]
+    n, horizon = meta["window"], meta["horizon"]
+    series, times = arrays["series"], arrays["times"]
     starts = {name: arrays[f"starts_{name}"].astype(np.int64) for name in SPLITS}
     sets = {name: _materialize(series, times, starts[name], n, horizon, name, stats)
             for name in SPLITS}
-    bundle = DatasetBundle(
+    return DatasetBundle(
         **sets, stats=stats, vocab=tuple(meta["vocab"]), window=n, horizon=horizon,
         series=series, times=times, bounds=tuple(meta["bounds"]), starts=starts,
         summary=meta.get("summary", {}), data_hash=meta.get("data_hash", ""),
     )
-    return bundle
 
 
 def window_before(bundle: DatasetBundle, row: int) -> np.ndarray:

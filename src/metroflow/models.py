@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import CompatibilityError, ConfigError, DimensionError
+from .errors import CompatibilityError, ConfigError, DimensionError, SchemaError
 from .layers import AttentionHead, Conv1d, Dense, LstmCell
 from .serialize import read_blob, write_blob
 from .tensor import Tensor, concat, no_grad
@@ -96,7 +96,6 @@ class ForecastModel:
     """One built architecture: ordered layers plus a parameter registry."""
 
     def __init__(self, spec: ModelSpec):
-        spec.validate()
         self.spec = spec
         rng = np.random.default_rng(spec.seed)
         self.convs, self.lstm, self.attention = [], None, None
@@ -131,27 +130,23 @@ class ForecastModel:
     def _multi_scale(self, x3: Tensor) -> Tensor:
         return concat([conv(x3).relu() for conv in self.convs], axis=-1)
 
-    def _forward3(self, x3: Tensor) -> Tensor:
-        seq = x3
-        if self.convs:
-            seq = self._multi_scale(seq)
-        if self.lstm is not None:
-            seq = self.lstm.unroll(seq)
-        if self.attention is not None:
-            pooled = self.attention(seq).mean(axis=1)
-        else:  # no attention: the last step is the sequence read-out
-            pooled = seq[:, seq.shape[1] - 1, :]
-        return self.head(pooled)
-
     def forward_batch(self, windows) -> Tensor:
         """Forecast a batch [B, n, d]; row i equals the one-row batch windows[i:i+1]."""
-        windows = windows if isinstance(windows, Tensor) else Tensor(windows)
+        x = windows if isinstance(windows, Tensor) else Tensor(windows)
         expected = (self.spec.window, self.spec.input_features)
-        if windows.ndim != 3 or windows.shape[1:] != expected:
+        if x.ndim != 3 or x.shape[1:] != expected:
             raise DimensionError(
-                f"batch shape {windows.shape} does not match [B, {expected[0]}, {expected[1]}]"
+                f"batch shape {x.shape} does not match [B, {expected[0]}, {expected[1]}]"
             )
-        return self._forward3(windows)
+        if self.convs:
+            x = self._multi_scale(x)
+        if self.lstm is not None:
+            x = self.lstm.unroll(x)
+        if self.attention is not None:
+            pooled = self.attention(x).mean(axis=1)
+        else:  # no attention: the last step is the sequence read-out
+            pooled = x[:, x.shape[1] - 1, :]
+        return self.head(pooled)
 
     def predict(self, windows: np.ndarray, batch_size: int = 256) -> np.ndarray:
         """Inference without graph construction, in chunks."""
@@ -172,7 +167,13 @@ class ForecastModel:
     @classmethod
     def load(cls, path) -> tuple["ForecastModel", dict]:
         arrays, meta = read_blob(path)
-        model = cls(ModelSpec.from_dict(meta["model_spec"]))
+        try:
+            spec = ModelSpec.from_dict(meta.get("model_spec"))
+        except (TypeError, ConfigError) as exc:
+            raise SchemaError(f"{path} has no valid model_spec: {exc}") from exc
+        if not isinstance(meta.get("data_hash"), (str, type(None))):
+            raise SchemaError(f"{path} has a data_hash that is not a string")
+        model = cls(spec)
         stored = set(arrays)
         expected = set(model._params)
         if stored != expected:

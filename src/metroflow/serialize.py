@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -58,18 +59,23 @@ def read_blob(path) -> tuple[dict[str, np.ndarray], dict]:
         raise SchemaError(f"{path} is not a metroflow blob: bad header ({exc})") from exc
     if not isinstance(header, dict):
         raise SchemaError(f"{path} is not a metroflow blob: header is not a JSON object")
-    if header.get("format") != FORMAT:
-        raise SchemaError(f"{path} has format {header.get('format')!r}, expected {FORMAT!r}")
+    if header.get("format") != FORMAT or header.get("version") != VERSION:
+        raise SchemaError(f"{path} has format {header.get('format')!r} version "
+                          f"{header.get('version')!r}, expected {FORMAT!r} version {VERSION}")
     if not isinstance(header.get("entries"), list) or not isinstance(header.get("meta"), dict):
         raise SchemaError(f"{path} header lacks its entries list or meta object")
     arrays = {}
     for entry in header["entries"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and isinstance(entry.get("shape"), list)
+                and all(type(v) is int and v >= 0 for v in [entry.get("offset"), *entry["shape"]])):
+            raise SchemaError(f"{path} has a malformed entry {canonical_json(entry)[:80]}; "
+                              "expected a name, a non-negative int shape list and offset")
+        count = math.prod(entry["shape"])
         start = entry["offset"]
-        if start < 0 or start + 8 * count > len(payload):
+        if start + 8 * count > len(payload):
             raise SchemaError(f"{path} is truncated: entry {entry['name']!r} needs bytes "
                               f"{start}..{start + 8 * count} of {len(payload)}")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)
+        arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float64)
     return arrays, header["meta"]

@@ -145,10 +145,8 @@ class Sgd:
                  learning_rate: float = TrainConfig.learning_rate):
         self.params = params
         self.lr = learning_rate
-        self.t = 0
 
     def step(self) -> None:
-        self.t += 1
         for p in self.params.values():
             if p.grad is not None:
                 p.data -= self.lr * p.grad
@@ -160,10 +158,6 @@ OPTIMIZERS = {
     "adam": lambda params, c: Adam(params, c.learning_rate, c.beta1, c.beta2, c.eps),
     "sgd": lambda params, c: Sgd(params, c.learning_rate),
 }
-
-
-def make_optimizer(params: dict[str, Tensor], config: TrainConfig):
-    return OPTIMIZERS[config.optimizer](params, config)
 
 
 def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
@@ -181,10 +175,6 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
     return norm
 
 
-def _split_metrics(model: ForecastModel, windows: np.ndarray, targets: np.ndarray) -> MetricTriple:
-    return metrics(model.predict(windows), targets)
-
-
 def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
     """Train one model; deterministic given (seed, config, dataset).
 
@@ -196,7 +186,7 @@ def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
     config.validate()
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    optimizer = make_optimizer(model.parameters(), config)
+    optimizer = OPTIMIZERS[config.optimizer](model.parameters(), config)
     params = model.parameters()
     tr = datasets.train
     report = TrainReport(model_kind=model.spec.kind, seed=config.seed, config=config.to_dict())
@@ -220,7 +210,7 @@ def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
             clip_grad_norm(params, config.grad_clip)
             optimizer.step()
             loss_sum += value * len(rows)
-        val = _split_metrics(model, datasets.val.windows, datasets.val.targets)
+        val = metrics(model.predict(datasets.val.windows), datasets.val.targets)
         report.epochs.append({
             "epoch": epoch,
             "train_loss": loss_sum / count,
@@ -228,7 +218,7 @@ def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
             "val_mse": val.mse,
             "val_rmse": val.rmse,
         })
-    report.test = _split_metrics(model, datasets.test.windows, datasets.test.targets)
+    report.test = metrics(model.predict(datasets.test.windows), datasets.test.targets)
     report.elapsed_seconds = time.perf_counter() - started
     return report
 

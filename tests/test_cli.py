@@ -208,6 +208,51 @@ class TestEvaluate:
                    "--data", workspace["out"] / "dataset.bin") == 2
 
 
+def _entry(header, name):
+    return next(e for e in header["entries"] if e["name"] == name)
+
+
+#: case -> (edited artifact, header edit); a None edit overwrites the payload with NaN
+CORRUPTIONS = {
+    "entry-without-offset": ("checkpoint", lambda h: h["entries"][0].pop("offset")),
+    "shape-not-int": ("checkpoint", lambda h: h["entries"][0].update(shape=["a"])),
+    "entry-not-object": ("checkpoint", lambda h: h["entries"].insert(0, "lstm/W_i")),
+    "negative-shape": ("dataset", lambda h: _entry(h, "times").update(shape=[-1])),
+    "version-2": ("checkpoint", lambda h: h.update(version=2)),
+    "no-model-spec": ("checkpoint", lambda h: h["meta"].pop("model_spec")),
+    "unknown-spec-key": ("checkpoint", lambda h: h["meta"]["model_spec"].update(dropout=0.1)),
+    "no-mean-array": ("dataset", lambda h: h["entries"].remove(_entry(h, "mean"))),
+    "no-window-meta": ("dataset", lambda h: h["meta"].pop("window")),
+    "window-past-series-end": ("dataset", lambda h: h["meta"].update(window=100)),
+    "nan-payload": ("dataset", None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupted_artifact_exit_two(workspace, tmp_path, capsys, case):
+    target, edit = CORRUPTIONS[case]
+    paths = {"checkpoint": workspace["out"] / "model_lstm_attention.bin",
+             "dataset": workspace["out"] / "dataset.bin"}
+    for name, src in paths.items():
+        blob = src.read_bytes()
+        if name == target:
+            line, payload = blob.split(b"\n", 1)
+            header = json.loads(line)
+            if edit is None:
+                payload = np.full(len(payload) // 8, np.nan).tobytes()
+            else:
+                edit(header)
+            blob = json.dumps(header).encode() + b"\n" + payload
+        paths[name] = tmp_path / src.name
+        paths[name].write_bytes(blob)
+    code = run("evaluate", "--model", "lstm_attention", "--out", tmp_path,
+               "--checkpoint", paths["checkpoint"], "--data", paths["dataset"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert paths[target].name in err
+
+
 @pytest.fixture(scope="module")
 def compared(workspace, tmp_path_factory):
     out = tmp_path_factory.mktemp("cmp")
