@@ -1,7 +1,7 @@
 """The four forecasting architectures behind one interface.
 
-Each model consumes a window of feature vectors [n, d] and emits a forecast
-of length T.  The multi-scale variants run parallel 1-D convolutions with
+Each model maps a batch of windows of feature vectors [B, n, d] to forecasts
+[B, T].  The multi-scale variants run parallel 1-D convolutions with
 one branch per kernel size and fuse them by channel concatenation, so every
 branch keeps the full temporal resolution expected by the recurrent stage.
 """
