@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DimensionError, UsageError
-from .tensor import Tensor, concat, softmax
+from .tensor import Tensor, _accum, concat, records, softmax
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:
@@ -26,14 +26,18 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def _lift(x: Tensor, expected_last: int, what: str):
+def _is_single(x: Tensor, expected_last: int, what: str) -> bool:
+    """Check a [n, channels] or [B, n, channels] input; True for [n, channels]."""
     if x.shape[-1] != expected_last:
         raise DimensionError(f"{what} expects {expected_last} channels, got shape {x.shape}")
-    if x.ndim == 2:
-        return x.reshape(1, *x.shape), True
-    if x.ndim == 3:
-        return x, False
-    raise DimensionError(f"{what} expects a 2-D or 3-D input, got shape {x.shape}")
+    if x.ndim not in (2, 3):
+        raise DimensionError(f"{what} expects a 2-D or 3-D input, got shape {x.shape}")
+    return x.ndim == 2
+
+
+def _lift(x: Tensor, expected_last: int, what: str):
+    single = _is_single(x, expected_last, what)
+    return (x.reshape(1, *x.shape) if single else x), single
 
 
 class Dense:
@@ -99,6 +103,14 @@ class LstmCell:
     Gates are sigmoid maps of the concatenated [h_prev, x_t]; the candidate
     memory uses tanh.  The forget-gate bias starts at 1.0 so early training
     keeps most of the memory cell.
+
+    ``step`` builds one update from engine ops and is the readable
+    reference.  ``unroll`` runs the whole recurrence in numpy as a single
+    graph node whose parents are the input and the eight parameters.  It
+    stacks the gate weights, read at call time, into one [H + in, 4H]
+    matrix whose column blocks are i, f, o, C in that order; the first H
+    rows multiply h_prev and the last ``in`` rows multiply x_t.  Its
+    backward is hand-written backpropagation through time.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -113,21 +125,6 @@ class LstmCell:
         self.b_f = Tensor(np.ones(hidden_size), requires_grad=True)
         self.b_o = zeros(hidden_size)
         self.b_C = zeros(hidden_size)
-
-    def _step(self, x_t, h_prev, c_prev, weights):
-        wt_i, wt_f, wt_o, wt_c = weights
-        cat = concat([h_prev, x_t], axis=-1)
-        rows = cat.shape[:-1]
-        i = (cat @ wt_i + self.b_i.expand(rows + (self.hidden_size,))).sigmoid()
-        f = (cat @ wt_f + self.b_f.expand(rows + (self.hidden_size,))).sigmoid()
-        o = (cat @ wt_o + self.b_o.expand(rows + (self.hidden_size,))).sigmoid()
-        cand = (cat @ wt_c + self.b_C.expand(rows + (self.hidden_size,))).tanh()
-        c = f * c_prev + i * cand
-        h = o * c.tanh()
-        return h, c
-
-    def _transposed_weights(self):
-        return tuple(w.transpose((1, 0)) for w in (self.W_i, self.W_f, self.W_o, self.W_C))
 
     def step(self, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
         """One update; returns (h_t, C_t)."""
@@ -144,7 +141,18 @@ class LstmCell:
             x_t = x_t.reshape(1, self.input_size)
             h_prev = h_prev.reshape(1, self.hidden_size)
             c_prev = c_prev.reshape(1, self.hidden_size)
-        h, c = self._step(x_t, h_prev, c_prev, self._transposed_weights())
+        cat = concat([h_prev, x_t], axis=-1)
+        rows = cat.shape[:-1] + (self.hidden_size,)
+
+        def gate(w, b):
+            return cat @ w.transpose((1, 0)) + b.expand(rows)
+
+        i = gate(self.W_i, self.b_i).sigmoid()
+        f = gate(self.W_f, self.b_f).sigmoid()
+        o = gate(self.W_o, self.b_o).sigmoid()
+        cand = gate(self.W_C, self.b_C).tanh()
+        c = f * c_prev + i * cand
+        h = o * c.tanh()
         if single:
             return h.reshape(self.hidden_size), c.reshape(self.hidden_size)
         return h, c
@@ -155,19 +163,75 @@ class LstmCell:
         Returns every hidden state in order ([n, hidden] or [B, n, hidden]);
         gradients flow through the full unroll.
         """
-        seq, single = _lift(sequence, self.input_size, "lstm")
-        batch, n = seq.shape[0], seq.shape[1]
+        single = _is_single(sequence, self.input_size, "lstm")
+        x3 = sequence.data[None] if single else sequence.data
+        batch, n = x3.shape[0], x3.shape[1]
         if n < 1:
             raise UsageError("cannot unroll an empty sequence")
-        h = Tensor(np.zeros((batch, self.hidden_size)))
-        c = Tensor(np.zeros((batch, self.hidden_size)))
-        weights = self._transposed_weights()
-        states = []
-        for t in range(n):
-            h, c = self._step(seq[:, t, :], h, c, weights)
-            states.append(h.reshape(batch, 1, self.hidden_size))
-        out = concat(states, axis=1)
-        return out.reshape(out.shape[1:]) if single else out
+        H = self.hidden_size
+        weights = (self.W_i, self.W_f, self.W_o, self.W_C)
+        biases = (self.b_i, self.b_f, self.b_o, self.b_C)
+        parents = (sequence,) + weights + biases
+        stacked = np.concatenate([w.data.T for w in weights], axis=1)  # [H + in, 4H]
+        wh_t, wx_t = stacked[:H], stacked[H:]  # row blocks, so both contiguous
+        bias = np.concatenate([b.data for b in biases])
+        keep = records(parents)
+        gates = np.empty((n, batch, 4 * H)) if keep else None
+        cells = np.empty((n, batch, H)) if keep else None
+        scratch = None if keep else np.empty((batch, 4 * H))
+        out = np.empty((batch, n, H))
+        h, c = None, np.zeros((batch, H))
+        # exp(-z) overflows to inf for z < -709, which gives the correct 0.0
+        with np.errstate(over="ignore"):
+            for t in range(n):
+                z = gates[t] if keep else scratch
+                np.matmul(x3[:, t], wx_t, out=z)
+                if t:
+                    z += h @ wh_t
+                z += bias
+                z[:, :3 * H] = 1.0 / (1.0 + np.exp(-z[:, :3 * H]))
+                np.tanh(z[:, 3 * H:], out=z[:, 3 * H:])
+                i, f, o, cand = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
+                c = f * c + i * cand
+                h = o * np.tanh(c)
+                out[:, t] = h
+                if keep:
+                    cells[t] = c
+
+        def backward(g):
+            g3 = g.reshape(batch, n, H)
+            dz = np.empty((n, batch, 4 * H))  # d loss / d gate pre-activations
+            dh, dc = g3[:, n - 1], 0.0
+            for t in range(n - 1, -1, -1):
+                a = gates[t]
+                i, f, o, cand = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+                tc = np.tanh(cells[t])
+                dc = dc + dh * o * (1.0 - tc * tc)
+                d = dz[t]
+                d[:, :H] = dc * cand * i * (1.0 - i)
+                d[:, H:2 * H] = dc * cells[t - 1] * f * (1.0 - f) if t else 0.0
+                d[:, 2 * H:3 * H] = dh * tc * o * (1.0 - o)
+                d[:, 3 * H:] = dc * i * (1.0 - cand * cand)
+                if t:
+                    dc = dc * f
+                    dh = g3[:, t - 1] + d @ wh_t.T
+            flat = dz.reshape(n * batch, 4 * H)
+            h_prev = out[:, :-1].transpose(1, 0, 2).reshape(-1, H)  # h_0 = 0 adds nothing
+            dw = np.empty((4 * H, H + self.input_size))
+            dw[:, :H] = dz[1:].reshape(-1, 4 * H).T @ h_prev
+            dw[:, H:] = flat.T @ x3.transpose(1, 0, 2).reshape(n * batch, -1)
+            db = flat.sum(axis=0)
+            if sequence.requires_grad:
+                dx = (flat @ wx_t.T).reshape(n, batch, -1).transpose(1, 0, 2)
+                _accum(sequence, dx.reshape(sequence.shape))
+            for k, (w, b) in enumerate(zip(weights, biases)):
+                block = slice(k * H, (k + 1) * H)
+                if w.requires_grad:
+                    _accum(w, dw[block])
+                if b.requires_grad:
+                    _accum(b, db[block])
+
+        return Tensor._from_op(out[0] if single else out, parents, backward)
 
     def parameters(self) -> dict[str, Tensor]:
         return {

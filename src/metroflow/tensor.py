@@ -27,6 +27,12 @@ def _grad_enabled() -> bool:
     return getattr(_state, "grad_enabled", True)
 
 
+def records(parents) -> bool:
+    """True when an op on ``parents`` joins a graph: grad is enabled and
+    some parent needs a gradient."""
+    return _grad_enabled() and any(p.requires_grad for p in parents)
+
+
 @contextmanager
 def no_grad():
     """Disable graph construction inside the block (inference/evaluation)."""
@@ -76,7 +82,7 @@ class Tensor:
 
     @staticmethod
     def _from_op(data, parents, backward):
-        if _grad_enabled() and any(p.requires_grad for p in parents):
+        if records(parents):
             out = Tensor(data)
             out.requires_grad = True
             out._parents = tuple(parents)

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_match
 from metroflow.errors import ConfigError, DimensionError, UsageError
 from metroflow.layers import AttentionHead, Conv1d, Dense, LstmCell, glorot_uniform
-from metroflow.tensor import Tensor
+from metroflow.tensor import Tensor, concat
 
 
 def make_rng(seed=0):
@@ -112,6 +114,74 @@ class TestLstmUnroll:
         for i in range(5):
             row = cell.unroll(Tensor(batch[i]))
             np.testing.assert_allclose(out.data[i], row.data, atol=1e-12)
+
+
+class TestFusedUnroll:
+    """``unroll`` is one graph node; ``step`` is its reference."""
+
+    @staticmethod
+    def leaves(cell, seq):
+        params = [Tensor(p.data.copy(), requires_grad=True) for p in cell.parameters().values()]
+        cell.W_i, cell.W_f, cell.W_o, cell.W_C, cell.b_i, cell.b_f, cell.b_o, cell.b_C = params
+        return [Tensor(seq.copy(), requires_grad=True)] + params
+
+    def test_matches_step_chain(self):
+        batch, n, size, hidden = 5, 7, 3, 4
+        cell = LstmCell(size, hidden, make_rng(20))
+        seq = make_rng(21).uniform(-2, 2, (batch, n, size))
+        upstream = Tensor(make_rng(22).normal(size=(batch, n, hidden)))
+
+        fused = self.leaves(cell, seq)
+        out = cell.unroll(fused[0])
+        (out * upstream).sum().backward()
+
+        chained = self.leaves(cell, seq)
+        h = Tensor(np.zeros((batch, hidden)))
+        c = Tensor(np.zeros((batch, hidden)))
+        states = []
+        for t in range(n):
+            h, c = cell.step(chained[0][:, t, :], h, c)
+            states.append(h.reshape(batch, 1, hidden))
+        reference = concat(states, axis=1)
+        (reference * upstream).sum().backward()
+
+        np.testing.assert_allclose(out.data, reference.data, rtol=0, atol=1e-12)
+        for a, b in zip(fused, chained):
+            np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
+
+    def test_batched_gradients(self):
+        cell = LstmCell(2, 3, make_rng(23))
+        seq = make_rng(24).uniform(-1, 1, (3, 5, 2))
+        weights = Tensor(make_rng(25).normal(size=(3, 5, 3)))
+
+        def fn(w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c, s):
+            cell.W_i, cell.W_f, cell.W_o, cell.W_C = w_i, w_f, w_o, w_c
+            cell.b_i, cell.b_f, cell.b_o, cell.b_C = b_i, b_f, b_o, b_c
+            out = cell.unroll(s)
+            return (out * out * weights).sum()
+
+        params = [p.data.copy() for p in cell.parameters().values()]
+        assert_gradients_match(fn, params + [seq])
+
+    @pytest.mark.parametrize("shape", [(1, 3), (6, 3), (2, 1, 3), (2, 24, 3)])
+    def test_one_node(self, shape):
+        cell = LstmCell(3, 4, make_rng(26))
+        seq = Tensor(np.ones(shape), requires_grad=True)
+        out = cell.unroll(seq)
+        assert out.shape == shape[:-1] + (4,)
+        assert out._parents == (seq,) + tuple(cell.parameters().values())
+
+    def test_saturated_inputs_finite_without_warnings(self):
+        cell = LstmCell(3, 4, make_rng(27))
+        seq = Tensor(make_rng(28).choice([-800.0, 800.0], size=(2, 6, 3)), requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = cell.unroll(seq)
+            out.sum().backward()
+        assert np.isfinite(out.data).all()
+        assert np.isfinite(seq.grad).all()
+        for p in cell.parameters().values():
+            assert np.isfinite(p.grad).all()
 
 
 class TestConv1d:
