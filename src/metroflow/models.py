@@ -27,6 +27,16 @@ STAGES = {
 KINDS = tuple(STAGES)
 
 
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (``isinstance(True, int)`` holds)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_seed(seed) -> None:
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative int, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Declarative description of one architecture plus hyperparameters."""
@@ -51,18 +61,19 @@ class ModelSpec:
         for name in ("input_features", "window", "horizon", "hidden_size",
                      "conv_filters", "d_k"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ConfigError(f"{name} must be a positive int, got {value!r}")
         if not self.kernel_sizes:
             raise ConfigError("kernel_sizes must not be empty")
         for k in self.kernel_sizes:
-            if not isinstance(k, int) or k < 1 or k % 2 == 0:
+            if not _is_int(k) or k < 1 or k % 2 == 0:
                 raise ConfigError(f"kernel sizes must be positive odd ints, got {k!r}")
         if self.window < max(self.kernel_sizes):
             raise ConfigError(
                 f"window {self.window} is shorter than the largest kernel "
                 f"{max(self.kernel_sizes)}"
             )
+        check_seed(self.seed)
 
     def to_dict(self) -> dict:
         d = asdict(self)

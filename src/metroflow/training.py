@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, UsageError
-from .models import ForecastModel, ModelSpec, build_model
+from .models import ForecastModel, ModelSpec, build_model, check_seed
 from .tensor import Tensor
 
 #: Published results for these four architectures on the same dataset,
@@ -51,6 +51,7 @@ class TrainConfig:
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {', '.join(OPTIMIZERS)}, "
                               f"got {self.optimizer!r}")
+        check_seed(self.seed)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -125,6 +125,13 @@ class TestTrain:
                    "--data", data, *SMALL) == 2
         assert "dataset.bin is truncated" in capsys.readouterr().err
 
+    def test_negative_seed_exit_two(self, workspace, tmp_path, capsys):
+        assert run("train", "--model", "mstim", "--out", tmp_path,
+                   "--data", workspace["out"] / "dataset.bin", "--seed", "-1", *SMALL) == 2
+        err = capsys.readouterr().err
+        assert err == "error: seed must be a non-negative int, got -1\n"
+        assert not list(tmp_path.iterdir())
+
     def test_runtime_failure_exit_one(self, workspace, tmp_path, monkeypatch):
         from metroflow.errors import NumericError
 
@@ -225,6 +232,9 @@ CORRUPTIONS = {
     "no-window-meta": ("dataset", lambda h: h["meta"].pop("window")),
     "window-past-series-end": ("dataset", lambda h: h["meta"].update(window=100)),
     "nan-payload": ("dataset", None),
+    "spec-bool-hidden-size": ("checkpoint",
+                              lambda h: h["meta"]["model_spec"].update(hidden_size=True)),
+    "spec-negative-seed": ("checkpoint", lambda h: h["meta"]["model_spec"].update(seed=-1)),
 }
 
 

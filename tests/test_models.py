@@ -67,6 +67,14 @@ class TestBuild:
         with pytest.raises(ConfigError, match="hidden_size"):
             small_spec("mstim", hidden_size=0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("input_features", True), ("hidden_size", True), ("kernel_sizes", (True,)),
+        ("seed", -1), ("seed", False), ("seed", 1.0),
+    ])
+    def test_bool_ints_and_bad_seeds_rejected(self, field, value):
+        with pytest.raises(ConfigError, match="seed" if field == "seed" else None):
+            small_spec("mstim", **{field: value})
+
     def test_spec_roundtrip(self):
         spec = small_spec("cnn_attention", seed=9)
         assert ModelSpec.from_dict(spec.to_dict()) == spec

@@ -170,7 +170,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("epochs", 0), ("learning_rate", 0.0), ("batch_size", -1),
-        ("optimizer", "rmsprop"), ("grad_clip", 0.0),
+        ("optimizer", "rmsprop"), ("grad_clip", 0.0), ("seed", -1), ("seed", True),
     ])
     def test_validation(self, field, value):
         c = TrainConfig()
