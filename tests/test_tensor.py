@@ -1,4 +1,5 @@
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ class TestElementwise:
 
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "tanh", "sigmoid", "relu"])
     def test_gradients_random(self, op):
-        rng = np.random.default_rng(hash(op) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(op.encode()))
         a = rng.uniform(-2, 2, (3, 4))
         b = rng.uniform(-2, 2, (3, 4))
         fns = {
