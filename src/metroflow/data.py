@@ -30,6 +30,9 @@ MEASURED_COLUMNS = ("temp", "rain_1h", "snow_1h", "clouds_all")
 #: Chronological splits, in timeline order.
 SPLITS = ("train", "val", "test")
 
+#: Fraction of the cleaned timeline in each split, in ``SPLITS`` order.
+SPLIT_RATIOS = (0.7, 0.1, 0.2)
+
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 _EPOCH = datetime(1970, 1, 1)
 
@@ -169,7 +172,6 @@ class EncodedSeries:
     features: np.ndarray  # [L, d], raw continuous columns, final cyclic/flag/one-hot
     times: np.ndarray     # [L] epoch seconds
     vocab: tuple          # weather_main categories backing the one-hot block
-    feature_names: tuple
 
 
 def discover_vocab(records) -> tuple:
@@ -209,13 +211,7 @@ def encode(records, vocab=None) -> EncodedSeries:
             features[i, 9 + j] = 1.0
         features[i, d - 1] = float(r.traffic_volume)
         times[i] = _to_epoch(r.date_time)
-    names = (
-        "temp", "rain_1h", "snow_1h", "clouds_all",
-        "hour_sin", "hour_cos", "dow_sin", "dow_cos", "holiday",
-        *(f"weather={name}" for name in vocab),
-        "traffic_volume",
-    )
-    return EncodedSeries(features=features, times=times, vocab=vocab, feature_names=names)
+    return EncodedSeries(features=features, times=times, vocab=vocab)
 
 
 @dataclass
@@ -271,10 +267,10 @@ class DatasetBundle:
         return self.series.shape[1]
 
 
-def _boundaries(length: int, ratios) -> tuple:
+def _boundaries(length: int) -> tuple:
     # the epsilon absorbs float error in ratio sums (0.7+0.1 < 0.8 in binary)
-    train_end = int(np.floor(ratios[0] * length + 1e-9))
-    val_end = int(np.floor((ratios[0] + ratios[1]) * length + 1e-9))
+    train_end = int(np.floor(SPLIT_RATIOS[0] * length + 1e-9))
+    val_end = int(np.floor((SPLIT_RATIOS[0] + SPLIT_RATIOS[1]) * length + 1e-9))
     return train_end, val_end
 
 
@@ -304,19 +300,16 @@ def _materialize(series, times, starts, n, horizon, split, stats) -> WindowedDat
     )
 
 
-def split_and_window(encoded: EncodedSeries, n: int, horizon: int,
-                     ratios=(0.7, 0.1, 0.2)) -> DatasetBundle:
+def split_and_window(encoded: EncodedSeries, n: int, horizon: int) -> DatasetBundle:
     """Chronological split, train-fitted standardization, stride-1 windows."""
     if n < 1 or horizon < 1:
         raise ConfigError(f"window and horizon must be >= 1, got {n} and {horizon}")
-    if len(ratios) != 3 or any(r <= 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
-        raise ConfigError(f"ratios must be three positive fractions summing to 1, got {ratios}")
     length = len(encoded.features)
     if length < n + horizon:
         raise ConfigError(
             f"series of {length} records cannot fit one window of {n}+{horizon} steps"
         )
-    train_end, val_end = _boundaries(length, ratios)
+    train_end, val_end = _boundaries(length)
     stats = Stats.fit(encoded.features[:train_end] if train_end else encoded.features)
     series = stats.normalize(encoded.features)
     times = encoded.times
@@ -347,8 +340,8 @@ def _bundle_hash(bundle: DatasetBundle) -> str:
     })
 
 
-def prepare_dataset(csv_path, n: int = ModelSpec.window, horizon: int = ModelSpec.horizon,
-                    ratios=(0.7, 0.1, 0.2)) -> DatasetBundle:
+def prepare_dataset(csv_path, n: int = ModelSpec.window,
+                    horizon: int = ModelSpec.horizon) -> DatasetBundle:
     """Full pipeline from CSV to windowed splits, with a run summary.
 
     The weather vocabulary is discovered on the training portion of the
@@ -360,10 +353,10 @@ def prepare_dataset(csv_path, n: int = ModelSpec.window, horizon: int = ModelSpe
     records = cleaned.records
     if not records:
         raise ConfigError(f"{csv_path}: no usable records after cleaning")
-    train_end, _ = _boundaries(len(records), ratios)
+    train_end, _ = _boundaries(len(records))
     vocab = discover_vocab(records[:train_end] if train_end else records)
     encoded = encode(records, vocab=vocab)
-    bundle = split_and_window(encoded, n=n, horizon=horizon, ratios=ratios)
+    bundle = split_and_window(encoded, n=n, horizon=horizon)
     bundle.summary = {
         "parsed": len(parsed.records),
         "rejected": len(parsed.rejects),
@@ -373,7 +366,7 @@ def prepare_dataset(csv_path, n: int = ModelSpec.window, horizon: int = ModelSpe
         "feature_count": int(bundle.series.shape[1]),
         "window": n,
         "horizon": horizon,
-        "ratios": list(ratios),
+        "ratios": list(SPLIT_RATIOS),
         "split_rows": dict(zip(SPLITS, (train_end, bundle.bounds[1] - train_end,
                                         len(records) - bundle.bounds[1]))),
         "window_counts": {name: int(len(bundle.starts[name])) for name in SPLITS},

@@ -1,9 +1,10 @@
 """Neural building blocks: LSTM cell, 1-D convolution, attention and dense.
 
-Every layer accepts a single sequence ([n, channels]) or a batch with a
-leading axis ([batch, n, channels]); the batched path is the primary code
-path and single sequences are lifted to batch size one, so per-row results
-are identical either way.
+Every layer takes a batch and nothing else.  ``Conv1d``, ``LstmCell.unroll``
+and ``AttentionHead`` take windows [B, n, channels]; ``Dense`` and
+``LstmCell.step`` take rows [B, channels], with [B, hidden] states for
+``step``.  Any other rank or channel width is a DimensionError; one
+window is a batch of one.
 """
 
 from __future__ import annotations
@@ -26,18 +27,11 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape), requires_grad=True)
 
 
-def _is_single(x: Tensor, expected_last: int, what: str) -> bool:
-    """Check a [n, channels] or [B, n, channels] input; True for [n, channels]."""
-    if x.shape[-1] != expected_last:
-        raise DimensionError(f"{what} expects {expected_last} channels, got shape {x.shape}")
-    if x.ndim not in (2, 3):
-        raise DimensionError(f"{what} expects a 2-D or 3-D input, got shape {x.shape}")
-    return x.ndim == 2
-
-
-def _lift(x: Tensor, expected_last: int, what: str):
-    single = _is_single(x, expected_last, what)
-    return (x.reshape(1, *x.shape) if single else x), single
+def _check_batch(x: Tensor, width: int, what: str, rank: int = 3) -> None:
+    """Reject anything but a [B, n, width] batch, or [B, width] for rank 2."""
+    if x.ndim != rank or x.shape[-1] != width:
+        axes = "B, n" if rank == 3 else "B"
+        raise DimensionError(f"{what} expects a [{axes}, {width}] batch, got shape {x.shape}")
 
 
 class Dense:
@@ -50,13 +44,8 @@ class Dense:
         self.b = zeros(out_size)
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.in_size:
-            raise DimensionError(f"dense expects {self.in_size} inputs, got shape {x.shape}")
-        single = x.ndim == 1
-        if single:
-            x = x.reshape(1, self.in_size)
-        y = x @ self.W.transpose((1, 0)) + self.b.expand(x.shape[:-1] + (self.out_size,))
-        return y.reshape(self.out_size) if single else y
+        _check_batch(x, self.in_size, "dense", rank=2)
+        return x @ self.W.transpose((1, 0)) + self.b.expand((x.shape[0], self.out_size))
 
     def parameters(self) -> dict[str, Tensor]:
         return {"W": self.W, "b": self.b}
@@ -81,17 +70,16 @@ class Conv1d:
         self.b = zeros(out_channels)
 
     def __call__(self, x: Tensor) -> Tensor:
-        x3, single = _lift(x, self.in_channels, "conv1d")
-        n = x3.shape[1]
+        _check_batch(x, self.in_channels, "conv1d")
+        n = x.shape[1]
         pad = (self.kernel_size - 1) // 2
-        xp = x3.pad1d(1, pad, pad)
+        xp = x.pad1d(1, pad, pad)
         taps = self.W.transpose((2, 1, 0))  # [k, in, out]
         y = None
         for j in range(self.kernel_size):
             term = xp[:, j:j + n, :] @ taps[j]
             y = term if y is None else y + term
-        y = y + self.b.expand(y.shape)
-        return y.reshape(y.shape[1:]) if single else y
+        return y + self.b.expand(y.shape)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"W": self.W, "b": self.b}
@@ -105,7 +93,7 @@ class LstmCell:
     keeps most of the memory cell.
 
     ``step`` builds one update from engine ops and is the readable
-    reference.  ``unroll`` runs the whole recurrence in numpy as a single
+    reference.  ``unroll`` runs the whole recurrence in numpy as one
     graph node whose parents are the input and the eight parameters.  It
     stacks the gate weights, read at call time, into one [H + in, 4H]
     matrix whose column blocks are i, f, o, C in that order; the first H
@@ -127,22 +115,16 @@ class LstmCell:
         self.b_C = zeros(hidden_size)
 
     def step(self, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
-        """One update; returns (h_t, C_t)."""
-        if x_t.shape[-1] != self.input_size:
-            raise DimensionError(f"lstm expects {self.input_size} inputs, got shape {x_t.shape}")
+        """One update of a [B, in] input and [B, hidden] states; returns (h_t, C_t)."""
+        _check_batch(x_t, self.input_size, "lstm", rank=2)
+        rows = (x_t.shape[0], self.hidden_size)
         for name, t in (("h_prev", h_prev), ("c_prev", c_prev)):
-            if t.shape[-1] != self.hidden_size or t.ndim != x_t.ndim:
+            if t.shape != rows:
                 raise DimensionError(
                     f"{name} shape {t.shape} incompatible with input shape {x_t.shape} "
                     f"and hidden size {self.hidden_size}"
                 )
-        single = x_t.ndim == 1
-        if single:
-            x_t = x_t.reshape(1, self.input_size)
-            h_prev = h_prev.reshape(1, self.hidden_size)
-            c_prev = c_prev.reshape(1, self.hidden_size)
         cat = concat([h_prev, x_t], axis=-1)
-        rows = cat.shape[:-1] + (self.hidden_size,)
 
         def gate(w, b):
             return cat @ w.transpose((1, 0)) + b.expand(rows)
@@ -153,19 +135,17 @@ class LstmCell:
         cand = gate(self.W_C, self.b_C).tanh()
         c = f * c_prev + i * cand
         h = o * c.tanh()
-        if single:
-            return h.reshape(self.hidden_size), c.reshape(self.hidden_size)
         return h, c
 
     def unroll(self, sequence: Tensor) -> Tensor:
         """Run the cell over a whole sequence from a zero initial state.
 
-        Returns every hidden state in order ([n, hidden] or [B, n, hidden]);
-        gradients flow through the full unroll.
+        Takes [B, n, in] and returns every hidden state in order as
+        [B, n, hidden]; gradients flow through the full unroll.
         """
-        single = _is_single(sequence, self.input_size, "lstm")
-        x3 = sequence.data[None] if single else sequence.data
-        batch, n = x3.shape[0], x3.shape[1]
+        _check_batch(sequence, self.input_size, "lstm")
+        x = sequence.data
+        batch, n = x.shape[0], x.shape[1]
         if n < 1:
             raise UsageError("cannot unroll an empty sequence")
         H = self.hidden_size
@@ -185,7 +165,7 @@ class LstmCell:
         with np.errstate(over="ignore"):
             for t in range(n):
                 z = gates[t] if keep else scratch
-                np.matmul(x3[:, t], wx_t, out=z)
+                np.matmul(x[:, t], wx_t, out=z)
                 if t:
                     z += h @ wh_t
                 z += bias
@@ -219,11 +199,11 @@ class LstmCell:
             h_prev = out[:, :-1].transpose(1, 0, 2).reshape(-1, H)  # h_0 = 0 adds nothing
             dw = np.empty((4 * H, H + self.input_size))
             dw[:, :H] = dz[1:].reshape(-1, 4 * H).T @ h_prev
-            dw[:, H:] = flat.T @ x3.transpose(1, 0, 2).reshape(n * batch, -1)
+            dw[:, H:] = flat.T @ x.transpose(1, 0, 2).reshape(n * batch, -1)
             db = flat.sum(axis=0)
             if sequence.requires_grad:
                 dx = (flat @ wx_t.T).reshape(n, batch, -1).transpose(1, 0, 2)
-                _accum(sequence, dx.reshape(sequence.shape))
+                _accum(sequence, dx)
             for k, (w, b) in enumerate(zip(weights, biases)):
                 block = slice(k * H, (k + 1) * H)
                 if w.requires_grad:
@@ -231,7 +211,7 @@ class LstmCell:
                 if b.requires_grad:
                     _accum(b, db[block])
 
-        return Tensor._from_op(out[0] if single else out, parents, backward)
+        return Tensor._from_op(out, parents, backward)
 
     def parameters(self) -> dict[str, Tensor]:
         return {
@@ -254,16 +234,15 @@ class AttentionHead:
         self.W_K = glorot_uniform(rng, (d_model, d_k), d_model, d_k)
         self.W_V = glorot_uniform(rng, (d_model, d_k), d_model, d_k)
 
-    def _scores(self, h3: Tensor) -> Tensor:
-        q = h3 @ self.W_Q
-        k = h3 @ self.W_K
+    def _scores(self, h: Tensor) -> Tensor:
+        q = h @ self.W_Q
+        k = h @ self.W_K
         return (q @ k.transpose((0, 2, 1))) * (1.0 / math.sqrt(self.d_k))
 
     def __call__(self, h: Tensor) -> Tensor:
-        h3, single = _lift(h, self.d_model, "attention")
-        weights = softmax(self._scores(h3), axis=-1)
-        out = weights @ (h3 @ self.W_V)
-        return out.reshape(out.shape[1:]) if single else out
+        _check_batch(h, self.d_model, "attention")
+        weights = softmax(self._scores(h), axis=-1)
+        return weights @ (h @ self.W_V)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"W_Q": self.W_Q, "W_K": self.W_K, "W_V": self.W_V}

@@ -26,6 +26,9 @@ STAGES = {
 }
 KINDS = tuple(STAGES)
 
+#: Windows per forward pass in ``predict``.
+PREDICT_BATCH = 256
+
 
 def _is_int(value) -> bool:
     """True for an int that is not a bool (``isinstance(True, int)`` holds)."""
@@ -85,24 +88,6 @@ class ModelSpec:
         return cls(**d)
 
 
-def expected_param_count(spec: ModelSpec) -> int:
-    """Closed-form parameter count for a spec; build() asserts against it."""
-    d, h, f, dk, t = (spec.input_features, spec.hidden_size, spec.conv_filters,
-                      spec.d_k, spec.horizon)
-    conv = sum(f * d * k + f for k in spec.kernel_sizes)
-    fused = len(spec.kernel_sizes) * f
-    lstm = lambda inp: 4 * (h * (h + inp) + h)
-    attn = lambda d_model: 3 * d_model * dk
-    dense = lambda inp, out: out * inp + out
-    if spec.kind == "mstim":
-        return conv + lstm(fused) + attn(h) + dense(dk, t)
-    if spec.kind == "lstm_attention":
-        return lstm(d) + attn(h) + dense(dk, t)
-    if spec.kind == "cnn_attention":
-        return conv + attn(fused) + dense(dk, t)
-    return conv + lstm(fused) + dense(h, t)  # lstm_cnn
-
-
 class ForecastModel:
     """One built architecture: ordered layers plus a parameter registry."""
 
@@ -130,11 +115,6 @@ class ForecastModel:
         self._params = {f"{prefix}/{name}": p for prefix, layer in named
                         for name, p in layer.parameters().items()}
 
-        total = sum(p.size for p in self._params.values())
-        expected = expected_param_count(spec)
-        if total != expected:
-            raise AssertionError(f"parameter registry has {total} values, expected {expected}")
-
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._params)
 
@@ -159,12 +139,12 @@ class ForecastModel:
             pooled = x[:, x.shape[1] - 1, :]
         return self.head(pooled)
 
-    def predict(self, windows: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Inference without graph construction, in chunks."""
+    def predict(self, windows: np.ndarray) -> np.ndarray:
+        """Inference without graph construction, in chunks of ``PREDICT_BATCH``."""
         chunks = []
         with no_grad():
-            for start in range(0, len(windows), batch_size):
-                chunk = windows[start:start + batch_size]
+            for start in range(0, len(windows), PREDICT_BATCH):
+                chunk = windows[start:start + PREDICT_BATCH]
                 chunks.append(self.forward_batch(Tensor(chunk)).data)
         return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, self.spec.horizon))
 
@@ -197,6 +177,8 @@ class ForecastModel:
                     f"checkpoint entry {name} has shape {arrays[name].shape}, "
                     f"expected {p.data.shape}"
                 )
+            if not np.isfinite(arrays[name]).all():
+                raise SchemaError(f"{path}: checkpoint entry {name} holds non-finite values")
             p.data[...] = arrays[name]
         return model, meta
 

@@ -185,12 +185,6 @@ class Tensor:
 
     # -- shape ops ----------------------------------------------------------
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        out = self.data.reshape(shape)
-        return Tensor._from_op(out, (self,), lambda g: _accum(self, g.reshape(self.data.shape)))
-
     def transpose(self, axes):
         axes = tuple(axes)
         inverse = tuple(np.argsort(axes))

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError, UsageError
-from .models import ForecastModel, ModelSpec, build_model, check_seed
+from .models import ForecastModel, ModelSpec, _is_int, build_model, check_seed
 from .tensor import Tensor
 
 #: Published results for these four architectures on the same dataset,
@@ -43,9 +43,11 @@ class TrainConfig:
     shuffle: bool = True
 
     def validate(self) -> None:
-        if self.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        for name in ("learning_rate", "batch_size", "eps", "grad_clip"):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise ConfigError(f"{name} must be a positive int, got {value!r}")
+        for name in ("learning_rate", "eps", "grad_clip"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.optimizer not in OPTIMIZERS:

@@ -61,7 +61,7 @@ def test_gradient_correctness_all_layers():
             return (out * out).sum()
         assert_gradients_match(
             fn_dense,
-            [layer.W.data.copy(), layer.b.data.copy(), rng.uniform(-1, 1, 3)])
+            [layer.W.data.copy(), layer.b.data.copy(), rng.uniform(-1, 1, (1, 3))])
 
         for k in (3, 5, 7):
             conv = Conv1d(2, 2, k, np.random.default_rng(10 * i + k))
@@ -71,7 +71,7 @@ def test_gradient_correctness_all_layers():
                 return (out * out).sum()
             assert_gradients_match(
                 fn_conv,
-                [conv.W.data.copy(), conv.b.data.copy(), rng.uniform(-1, 1, (8, 2))])
+                [conv.W.data.copy(), conv.b.data.copy(), rng.uniform(-1, 1, (1, 8, 2))])
 
         cell = LstmCell(3, 4, np.random.default_rng(i + 50))
         cell_params = [p.data.copy() for p in cell.parameters().values()]
@@ -82,15 +82,15 @@ def test_gradient_correctness_all_layers():
             return (h * h).sum() + c.sum()
         assert_gradients_match(
             fn_step,
-            cell_params + [rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 4),
-                           rng.uniform(-1, 1, 4)])
+            cell_params + [rng.uniform(-1, 1, (1, 3)), rng.uniform(-1, 1, (1, 4)),
+                           rng.uniform(-1, 1, (1, 4))])
 
         def fn_unroll(w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c, seq, cell=cell):
             cell.W_i, cell.W_f, cell.W_o, cell.W_C = w_i, w_f, w_o, w_c
             cell.b_i, cell.b_f, cell.b_o, cell.b_C = b_i, b_f, b_o, b_c
             out = cell.unroll(seq)
             return (out * out).sum()
-        assert_gradients_match(fn_unroll, cell_params + [rng.uniform(-1, 1, (8, 3))])
+        assert_gradients_match(fn_unroll, cell_params + [rng.uniform(-1, 1, (1, 8, 3))])
 
         head = AttentionHead(3, 2, np.random.default_rng(i + 90))
         def fn_attn(wq, wk, wv, hv, head=head):
@@ -100,7 +100,7 @@ def test_gradient_correctness_all_layers():
         assert_gradients_match(
             fn_attn,
             [head.W_Q.data.copy(), head.W_K.data.copy(), head.W_V.data.copy(),
-             rng.uniform(-1, 1, (5, 3))])
+             rng.uniform(-1, 1, (1, 5, 3))])
 
         mix = rng.uniform(-1, 1, 6)
         def fn_softmax(xv, mix=mix):

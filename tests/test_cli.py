@@ -232,6 +232,7 @@ CORRUPTIONS = {
     "no-window-meta": ("dataset", lambda h: h["meta"].pop("window")),
     "window-past-series-end": ("dataset", lambda h: h["meta"].update(window=100)),
     "nan-payload": ("dataset", None),
+    "checkpoint-nan-payload": ("checkpoint", None),
     "spec-bool-hidden-size": ("checkpoint",
                               lambda h: h["meta"]["model_spec"].update(hidden_size=True)),
     "spec-negative-seed": ("checkpoint", lambda h: h["meta"]["model_spec"].update(seed=-1)),

@@ -6,7 +6,7 @@ import pytest
 from gradcheck import assert_gradients_match
 from metroflow.errors import ConfigError, DimensionError, UsageError
 from metroflow.layers import AttentionHead, Conv1d, Dense, LstmCell, glorot_uniform
-from metroflow.tensor import Tensor, concat
+from metroflow.tensor import Tensor
 
 
 def make_rng(seed=0):
@@ -23,15 +23,16 @@ def zero_lstm(input_size=3, hidden_size=4):
 class TestLstmStep:
     def test_all_zero_weights_and_state(self):
         cell = zero_lstm()
-        h, c = cell.step(Tensor(np.zeros(3)), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+        h, c = cell.step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))),
+                         Tensor(np.zeros((1, 4))))
         # gates sit at sigmoid(0)=0.5, candidate tanh(0)=0, so everything stays 0
-        np.testing.assert_allclose(c.data, np.zeros(4), atol=1e-15)
-        np.testing.assert_allclose(h.data, np.zeros(4), atol=1e-15)
+        np.testing.assert_allclose(c.data, np.zeros((1, 4)), atol=1e-15)
+        np.testing.assert_allclose(h.data, np.zeros((1, 4)), atol=1e-15)
 
     def test_forget_gate_halves_memory(self):
         cell = zero_lstm()
-        c_prev = np.array([2.0, -1.0, 0.5, 4.0])
-        h, c = cell.step(Tensor(np.zeros(3)), Tensor(np.zeros(4)), Tensor(c_prev))
+        c_prev = np.array([[2.0, -1.0, 0.5, 4.0]])
+        h, c = cell.step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))), Tensor(c_prev))
         np.testing.assert_allclose(c.data, 0.5 * c_prev, atol=1e-15)
         np.testing.assert_allclose(h.data, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
 
@@ -39,24 +40,26 @@ class TestLstmStep:
         cell = LstmCell(3, 4, make_rng(5))
         rng = make_rng(6)
         h, c = cell.step(
-            Tensor(rng.uniform(-50, 50, 3)),
-            Tensor(rng.uniform(-50, 50, 4)),
-            Tensor(rng.uniform(-50, 50, 4)),
+            Tensor(rng.uniform(-50, 50, (1, 3))),
+            Tensor(rng.uniform(-50, 50, (1, 4))),
+            Tensor(rng.uniform(-50, 50, (1, 4))),
         )
         assert np.abs(h.data).max() < 1.0
 
     def test_shape_mismatch(self):
         cell = LstmCell(3, 4, make_rng())
         with pytest.raises(DimensionError):
-            cell.step(Tensor(np.zeros(5)), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
+            cell.step(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 4))),
+                      Tensor(np.zeros((1, 4))))
         with pytest.raises(DimensionError):
-            cell.step(Tensor(np.zeros(3)), Tensor(np.zeros(2)), Tensor(np.zeros(4)))
+            cell.step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))),
+                      Tensor(np.zeros((1, 4))))
 
     def test_gradients(self):
         cell = LstmCell(2, 3, make_rng(7))
-        x = make_rng(8).uniform(-1, 1, 2)
-        h0 = make_rng(9).uniform(-1, 1, 3)
-        c0 = make_rng(10).uniform(-1, 1, 3)
+        x = make_rng(8).uniform(-1, 1, (1, 2))
+        h0 = make_rng(9).uniform(-1, 1, (1, 3))
+        c0 = make_rng(10).uniform(-1, 1, (1, 3))
 
         def fn(w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c, xv, hv, cv):
             cell.W_i, cell.W_f, cell.W_o, cell.W_C = w_i, w_f, w_o, w_c
@@ -71,32 +74,32 @@ class TestLstmStep:
 class TestLstmUnroll:
     def test_single_step_equals_step(self):
         cell = LstmCell(3, 4, make_rng(1))
-        x = make_rng(2).uniform(-1, 1, (1, 3))
+        x = make_rng(2).uniform(-1, 1, (1, 1, 3))
         out = cell.unroll(Tensor(x))
-        h, _ = cell.step(Tensor(x[0]), Tensor(np.zeros(4)), Tensor(np.zeros(4)))
-        np.testing.assert_allclose(out.data[0], h.data, atol=1e-15)
+        h, _ = cell.step(Tensor(x[:, 0]), Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))))
+        np.testing.assert_allclose(out.data[:, 0], h.data, atol=1e-15)
 
     def test_zero_weights_all_hidden_zero(self):
         cell = zero_lstm()
-        out = cell.unroll(Tensor(np.ones((6, 3))))
-        np.testing.assert_allclose(out.data, np.zeros((6, 4)), atol=1e-15)
+        out = cell.unroll(Tensor(np.ones((1, 6, 3))))
+        np.testing.assert_allclose(out.data, np.zeros((1, 6, 4)), atol=1e-15)
 
     def test_empty_sequence_rejected(self):
         cell = LstmCell(3, 4, make_rng())
         with pytest.raises(UsageError):
-            cell.unroll(Tensor(np.zeros((0, 3))))
+            cell.unroll(Tensor(np.zeros((1, 0, 3))))
 
     def test_long_range_gradient_nonzero(self):
         cell = LstmCell(2, 3, make_rng(3))
-        seq = Tensor(make_rng(4).uniform(-1, 1, (5, 2)), requires_grad=True)
+        seq = Tensor(make_rng(4).uniform(-1, 1, (1, 5, 2)), requires_grad=True)
         out = cell.unroll(seq)
-        out[4].sum().backward()
+        out[:, 4].sum().backward()
         # the path from the first input to the last hidden state exists
-        assert np.abs(seq.grad[0]).max() > 0
+        assert np.abs(seq.grad[:, 0]).max() > 0
 
     def test_gradients_through_unroll(self):
         cell = LstmCell(2, 2, make_rng(11))
-        seq = make_rng(12).uniform(-1, 1, (4, 2))
+        seq = make_rng(12).uniform(-1, 1, (1, 4, 2))
 
         def fn(w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c, s):
             cell.W_i, cell.W_f, cell.W_o, cell.W_C = w_i, w_f, w_o, w_c
@@ -106,14 +109,6 @@ class TestLstmUnroll:
 
         params = [p.data.copy() for p in cell.parameters().values()]
         assert_gradients_match(fn, params + [seq])
-
-    def test_batched_matches_loop(self):
-        cell = LstmCell(3, 4, make_rng(13))
-        batch = make_rng(14).uniform(-1, 1, (5, 6, 3))
-        out = cell.unroll(Tensor(batch))
-        for i in range(5):
-            row = cell.unroll(Tensor(batch[i]))
-            np.testing.assert_allclose(out.data[i], row.data, atol=1e-12)
 
 
 class TestFusedUnroll:
@@ -129,23 +124,23 @@ class TestFusedUnroll:
         batch, n, size, hidden = 5, 7, 3, 4
         cell = LstmCell(size, hidden, make_rng(20))
         seq = make_rng(21).uniform(-2, 2, (batch, n, size))
-        upstream = Tensor(make_rng(22).normal(size=(batch, n, hidden)))
+        upstream = make_rng(22).normal(size=(batch, n, hidden))
 
         fused = self.leaves(cell, seq)
         out = cell.unroll(fused[0])
-        (out * upstream).sum().backward()
+        (out * Tensor(upstream)).sum().backward()
 
         chained = self.leaves(cell, seq)
         h = Tensor(np.zeros((batch, hidden)))
         c = Tensor(np.zeros((batch, hidden)))
-        states = []
+        reference = None
         for t in range(n):
             h, c = cell.step(chained[0][:, t, :], h, c)
-            states.append(h.reshape(batch, 1, hidden))
-        reference = concat(states, axis=1)
-        (reference * upstream).sum().backward()
+            np.testing.assert_allclose(out.data[:, t, :], h.data, rtol=0, atol=1e-12)
+            term = (h * Tensor(upstream[:, t, :])).sum()
+            reference = term if reference is None else reference + term
+        reference.backward()
 
-        np.testing.assert_allclose(out.data, reference.data, rtol=0, atol=1e-12)
         for a, b in zip(fused, chained):
             np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
 
@@ -163,7 +158,7 @@ class TestFusedUnroll:
         params = [p.data.copy() for p in cell.parameters().values()]
         assert_gradients_match(fn, params + [seq])
 
-    @pytest.mark.parametrize("shape", [(1, 3), (6, 3), (2, 1, 3), (2, 24, 3)])
+    @pytest.mark.parametrize("shape", [(2, 1, 3), (2, 24, 3)])
     def test_one_node(self, shape):
         cell = LstmCell(3, 4, make_rng(26))
         seq = Tensor(np.ones(shape), requires_grad=True)
@@ -189,8 +184,8 @@ class TestConv1d:
         conv = Conv1d(1, 1, 3, make_rng())
         conv.W.data[...] = 1.0
         conv.b.data[...] = 0.0
-        out = conv(Tensor(np.array([[1.0], [2.0], [3.0]])))
-        np.testing.assert_allclose(out.data, [[3.0], [6.0], [5.0]], atol=1e-15)
+        out = conv(Tensor(np.array([[[1.0], [2.0], [3.0]]])))
+        np.testing.assert_allclose(out.data, [[[3.0], [6.0], [5.0]]], atol=1e-15)
 
     def test_identity_kernel(self):
         conv = Conv1d(2, 2, 3, make_rng())
@@ -198,7 +193,7 @@ class TestConv1d:
         conv.b.data[...] = 0.0
         for ch in range(2):
             conv.W.data[ch, ch, 1] = 1.0
-        x = make_rng(1).uniform(-1, 1, (7, 2))
+        x = make_rng(1).uniform(-1, 1, (1, 7, 2))
         out = conv(Tensor(x))
         np.testing.assert_allclose(out.data, x, atol=1e-15)
 
@@ -206,14 +201,14 @@ class TestConv1d:
         conv = Conv1d(1, 1, 3, make_rng())
         conv.W.data[0, 0] = [1.0, -2.0, 1.0]
         conv.b.data[...] = 0.0
-        out = conv(Tensor(np.full((6, 1), 3.0)))
-        np.testing.assert_allclose(out.data[1:-1], np.zeros((4, 1)), atol=1e-14)
+        out = conv(Tensor(np.full((1, 6, 1), 3.0)))
+        np.testing.assert_allclose(out.data[:, 1:-1], np.zeros((1, 4, 1)), atol=1e-14)
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_same_length_for_every_kernel(self, k):
         conv = Conv1d(3, 2, k, make_rng(k))
-        out = conv(Tensor(make_rng(1).uniform(-1, 1, (10, 3))))
-        assert out.shape == (10, 2)
+        out = conv(Tensor(make_rng(1).uniform(-1, 1, (1, 10, 3))))
+        assert out.shape == (1, 10, 2)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError):
@@ -222,12 +217,12 @@ class TestConv1d:
     def test_channel_mismatch(self):
         conv = Conv1d(3, 2, 3, make_rng())
         with pytest.raises(DimensionError):
-            conv(Tensor(np.zeros((5, 4))))
+            conv(Tensor(np.zeros((1, 5, 4))))
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_gradients(self, k):
         conv = Conv1d(2, 2, k, make_rng(k))
-        x = make_rng(20 + k).uniform(-1, 1, (8, 2))
+        x = make_rng(20 + k).uniform(-1, 1, (1, 8, 2))
 
         def fn(w, b, xv):
             conv.W, conv.b = w, b
@@ -235,34 +230,27 @@ class TestConv1d:
 
         assert_gradients_match(fn, [conv.W.data.copy(), conv.b.data.copy(), x])
 
-    def test_batched_matches_loop(self):
-        conv = Conv1d(2, 3, 5, make_rng(9))
-        batch = make_rng(10).uniform(-1, 1, (4, 6, 2))
-        out = conv(Tensor(batch))
-        for i in range(4):
-            np.testing.assert_allclose(out.data[i], conv(Tensor(batch[i])).data, atol=1e-12)
-
 
 class TestAttention:
     def test_single_row_passes_value_through(self):
         head = AttentionHead(3, 2, make_rng(1))
-        h = make_rng(2).uniform(-1, 1, (1, 3))
+        h = make_rng(2).uniform(-1, 1, (1, 1, 3))
         out = head(Tensor(h))
         np.testing.assert_allclose(out.data, h @ head.W_V.data, atol=1e-14)
 
     def test_identical_rows_give_identical_outputs(self):
         head = AttentionHead(3, 2, make_rng(3))
         row = make_rng(4).uniform(-1, 1, 3)
-        out = head(Tensor(np.tile(row, (5, 1))))
+        out = head(Tensor(np.tile(row, (1, 5, 1))))
         expected = row @ head.W_V.data
         for i in range(5):
-            np.testing.assert_allclose(out.data[i], expected, atol=1e-14)
+            np.testing.assert_allclose(out.data[0, i], expected, atol=1e-14)
 
     def test_outputs_in_value_hull(self):
         head = AttentionHead(4, 3, make_rng(7))
-        h = make_rng(8).uniform(-2, 2, (6, 4))
-        v = h @ head.W_V.data
-        out = head(Tensor(h)).data
+        h = make_rng(8).uniform(-2, 2, (1, 6, 4))
+        v = h[0] @ head.W_V.data
+        out = head(Tensor(h)).data[0]
         assert (out >= v.min(axis=0) - 1e-12).all()
         assert (out <= v.max(axis=0) + 1e-12).all()
 
@@ -270,11 +258,11 @@ class TestAttention:
         head = AttentionHead(3, 3, make_rng(9))
         for w in (head.W_Q, head.W_K, head.W_V):
             w.data[...] = np.eye(3)
-        h = make_rng(10).uniform(-1, 1, (5, 3))
+        h = make_rng(10).uniform(-1, 1, (1, 5, 3))
         perm = h.copy()
-        perm[[1, 3]] = perm[[3, 1]]
-        out = head(Tensor(h)).data
-        out_perm = head(Tensor(perm)).data
+        perm[0, [1, 3]] = perm[0, [3, 1]]
+        out = head(Tensor(h)).data[0]
+        out_perm = head(Tensor(perm)).data[0]
         np.testing.assert_allclose(out_perm[[3, 1]], out[[1, 3]], atol=1e-12)
         np.testing.assert_allclose(np.delete(out_perm, [1, 3], 0), np.delete(out, [1, 3], 0),
                                    atol=1e-12)
@@ -282,11 +270,11 @@ class TestAttention:
     def test_d_model_mismatch(self):
         head = AttentionHead(4, 3, make_rng())
         with pytest.raises(DimensionError):
-            head(Tensor(np.zeros((5, 3))))
+            head(Tensor(np.zeros((1, 5, 3))))
 
     def test_gradients(self):
         head = AttentionHead(3, 2, make_rng(11))
-        h = make_rng(12).uniform(-1, 1, (4, 3))
+        h = make_rng(12).uniform(-1, 1, (1, 4, 3))
 
         def fn(wq, wk, wv, hv):
             head.W_Q, head.W_K, head.W_V = wq, wk, wv
@@ -296,42 +284,35 @@ class TestAttention:
         arrays = [head.W_Q.data.copy(), head.W_K.data.copy(), head.W_V.data.copy(), h]
         assert_gradients_match(fn, arrays)
 
-    def test_batched_matches_loop(self):
-        head = AttentionHead(3, 2, make_rng(13))
-        batch = make_rng(14).uniform(-1, 1, (4, 5, 3))
-        out = head(Tensor(batch))
-        for i in range(4):
-            np.testing.assert_allclose(out.data[i], head(Tensor(batch[i])).data, atol=1e-12)
-
 
 class TestDense:
     def test_identity(self):
         layer = Dense(3, 3, make_rng())
         layer.W.data[...] = np.eye(3)
         layer.b.data[...] = 0.0
-        x = np.array([1.0, -2.0, 3.0])
+        x = np.array([[1.0, -2.0, 3.0]])
         np.testing.assert_allclose(layer(Tensor(x)).data, x, atol=1e-15)
 
     def test_frozen_affine(self):
         layer = Dense(2, 1, make_rng())
         layer.W.data[...] = [[1.0, 1.0]]
         layer.b.data[...] = [1.0]
-        assert layer(Tensor([2.0, 3.0])).item() == 6.0
+        assert layer(Tensor([[2.0, 3.0]])).item() == 6.0
 
     def test_zero_weights_output_bias(self):
         layer = Dense(2, 3, make_rng(1))
         layer.W.data[...] = 0.0
         layer.b.data[...] = [1.0, 2.0, 3.0]
-        np.testing.assert_array_equal(layer(Tensor([5.0, 6.0])).data, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(layer(Tensor([[5.0, 6.0]])).data, [[1.0, 2.0, 3.0]])
 
     def test_shape_mismatch(self):
         layer = Dense(2, 3, make_rng())
         with pytest.raises(DimensionError):
-            layer(Tensor(np.zeros(4)))
+            layer(Tensor(np.zeros((1, 4))))
 
     def test_gradients(self):
         layer = Dense(3, 2, make_rng(2))
-        x = make_rng(3).uniform(-1, 1, 3)
+        x = make_rng(3).uniform(-1, 1, (1, 3))
 
         def fn(w, b, xv):
             layer.W, layer.b = w, b
@@ -339,6 +320,23 @@ class TestDense:
             return (out * out).sum()
 
         assert_gradients_match(fn, [layer.W.data.copy(), layer.b.data.copy(), x])
+
+
+UNBATCHED = {
+    "conv1d": lambda: Conv1d(3, 2, 3, make_rng())(Tensor(np.zeros((5, 3)))),
+    "unroll": lambda: LstmCell(3, 4, make_rng()).unroll(Tensor(np.zeros((5, 3)))),
+    "attention": lambda: AttentionHead(3, 2, make_rng())(Tensor(np.zeros((5, 3)))),
+    "dense": lambda: Dense(3, 2, make_rng())(Tensor(np.zeros(3))),
+    "step": lambda: LstmCell(3, 4, make_rng()).step(
+        Tensor(np.zeros(3)), Tensor(np.zeros(4)), Tensor(np.zeros(4))),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNBATCHED))
+def test_unbatched_input_rejected(entry):
+    """Every layer takes a batch only: [n, c] or [c] without a batch axis is an error."""
+    with pytest.raises(DimensionError):
+        UNBATCHED[entry]()
 
 
 class TestInit:

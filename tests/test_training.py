@@ -171,6 +171,7 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         ("epochs", 0), ("learning_rate", 0.0), ("batch_size", -1),
         ("optimizer", "rmsprop"), ("grad_clip", 0.0), ("seed", -1), ("seed", True),
+        ("epochs", True), ("batch_size", True), ("epochs", 2.5), ("batch_size", 4.0),
     ])
     def test_validation(self, field, value):
         c = TrainConfig()
