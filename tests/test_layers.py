@@ -158,7 +158,7 @@ class TestFusedUnroll:
         params = [p.data.copy() for p in cell.parameters().values()]
         assert_gradients_match(fn, params + [seq])
 
-    @pytest.mark.parametrize("shape", [(2, 1, 3), (2, 24, 3)])
+    @pytest.mark.parametrize("shape", [(1, 1, 3), (1, 6, 3), (2, 1, 3), (2, 24, 3)])
     def test_one_node(self, shape):
         cell = LstmCell(3, 4, make_rng(26))
         seq = Tensor(np.ones(shape), requires_grad=True)
