@@ -36,6 +36,7 @@ from .errors import (
 )
 from .models import KINDS, ForecastModel, ModelSpec, build_model
 from .plot import line_chart
+from .serialize import atomic_write
 from .training import OPTIMIZERS, TrainConfig, compare, metrics, train
 
 DEFAULT_OUT = "metroflow_out"
@@ -117,8 +118,7 @@ class Settings:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def load_bundle(settings: Settings):
@@ -209,8 +209,8 @@ def cmd_train(settings: Settings) -> int:
     write_json(out / f"train_report_{kind}.json", report.to_dict())
     write_json(out / f"train_timing_{kind}.json", {kind: report.elapsed_seconds})
     if settings.get("plot"):
-        (out / f"plot_{kind}.svg").write_text(test_slice_plot(model, bundle, kind),
-                                              encoding="utf-8")
+        plot = test_slice_plot(model, bundle, kind)
+        atomic_write(out / f"plot_{kind}.svg", plot.encode("utf-8"))
     t = report.test
     print(f"{kind}: test mae={t.mae:.4f} mse={t.mse:.4f} rmse={t.rmse:.4f} "
           f"after {config.epochs} epochs")
@@ -257,9 +257,9 @@ def cmd_compare(settings: Settings) -> int:
     specs = [model_spec_for(settings, bundle, kind) for kind in KINDS]
     result = compare(specs, bundle, config)
     out = settings.out_dir()
-    (out / "comparison.csv").write_text(result.to_csv(), encoding="utf-8")
+    atomic_write(out / "comparison.csv", result.to_csv().encode("utf-8"))
     text = result.to_text()
-    (out / "comparison.txt").write_text(text, encoding="utf-8")
+    atomic_write(out / "comparison.txt", text.encode("utf-8"))
     write_json(out / "comparison.json", result.to_dict())
     write_json(out / "timing.json",
                {k: r.elapsed_seconds for k, r in result.reports.items()})
@@ -302,7 +302,7 @@ def cmd_predict(settings: Settings) -> int:
     for t, p, a in zip(bundle.times[rows], predicted, actual):
         lines.append(f"{format_time(t)},{p:.2f},{a:.1f}")
     path = out / "predictions.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    atomic_write(path, ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"wrote {rows.size} predictions to {path}")
     return 0
 

@@ -4,7 +4,8 @@ Every layer takes a batch and nothing else.  ``Conv1d``, ``LstmCell.unroll``
 and ``AttentionHead`` take windows [B, n, channels]; ``Dense`` and
 ``LstmCell.step`` take rows [B, channels], with [B, hidden] states for
 ``step``.  Any other rank or channel width is a DimensionError; one
-window is a batch of one.
+window is a batch of one.  ``Conv1d`` and ``LstmCell.unroll`` each run
+in numpy as one graph node with a hand-written backward.
 """
 
 from __future__ import annotations
@@ -55,7 +56,12 @@ class Conv1d:
     """1-D cross-correlation over time with symmetric zero "same" padding.
 
     Output length equals input length; the kernel size must be odd so the
-    padding is (k-1)/2 on each side.
+    padding is (k-1)/2 on each side.  A call is one graph node with parents
+    (input, W, b), read at call time.  The forward sums
+    ``xp[:, j:j + n] @ W[:, :, j].T`` over taps j = 0..k-1 in order and adds
+    ``b`` last, so its outputs are bit-identical to the same sum built from
+    engine ops, and it makes no unfolded copy of the input.  The backward
+    skips the input gradient when the input needs none, as for raw windows.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -71,15 +77,28 @@ class Conv1d:
 
     def __call__(self, x: Tensor) -> Tensor:
         _check_batch(x, self.in_channels, "conv1d")
-        n = x.shape[1]
-        pad = (self.kernel_size - 1) // 2
-        xp = x.pad1d(1, pad, pad)
-        taps = self.W.transpose((2, 1, 0))  # [k, in, out]
-        y = None
-        for j in range(self.kernel_size):
-            term = xp[:, j:j + n, :] @ taps[j]
-            y = term if y is None else y + term
-        return y + self.b.expand(y.shape)
+        W, b, n, k = self.W, self.b, x.shape[1], self.kernel_size
+        pad = (k - 1) // 2
+        xp = np.pad(x.data, ((0, 0), (pad, pad), (0, 0)))
+        taps = W.data.transpose(2, 1, 0)  # [k, in, out]
+        y = xp[:, :n] @ taps[0]
+        for j in range(1, k):
+            y += xp[:, j:j + n] @ taps[j]
+        y += b.data
+
+        def backward(g):
+            if W.requires_grad:
+                _accum(W, np.stack([np.tensordot(xp[:, j:j + n], g, axes=([0, 1], [0, 1])).T
+                                    for j in range(k)], axis=2))
+            if b.requires_grad:
+                _accum(b, g.sum(axis=(0, 1)))
+            if x.requires_grad:
+                dxp = np.zeros(xp.shape)
+                for j in range(k):
+                    dxp[:, j:j + n] += g @ taps[j].T
+                _accum(x, dxp[:, pad:pad + n])
+
+        return Tensor._from_op(y, (x, W, b), backward)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"W": self.W, "b": self.b}

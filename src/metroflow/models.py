@@ -169,12 +169,13 @@ class ForecastModel:
         expected = set(model._params)
         if stored != expected:
             raise CompatibilityError(
-                f"checkpoint parameters {sorted(stored ^ expected)} do not match the spec"
+                f"{path}: checkpoint parameters {sorted(stored ^ expected)} "
+                "do not match the spec"
             )
         for name, p in model._params.items():
             if arrays[name].shape != p.data.shape:
                 raise CompatibilityError(
-                    f"checkpoint entry {name} has shape {arrays[name].shape}, "
+                    f"{path}: checkpoint entry {name} has shape {arrays[name].shape}, "
                     f"expected {p.data.shape}"
                 )
             if not np.isfinite(arrays[name]).all():

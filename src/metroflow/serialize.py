@@ -4,6 +4,7 @@ Layout: one line of canonical JSON (sorted keys, no extra whitespace)
 terminated by a newline, followed by the concatenated little-endian f64
 payloads.  The header lists every entry's name, shape and byte offset into
 the payload, so the format is self-describing and round-trips bit-exactly.
+Every artifact is written through ``atomic_write``, never half-written.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +32,21 @@ def digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+def atomic_write(path, *chunks: bytes) -> None:
+    """Write ``chunks`` to a temporary file beside ``path``, then move it into
+    place; on any error the temporary file is removed and ``path`` kept."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_blob(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
     entries = []
     offset = 0
@@ -41,11 +58,7 @@ def write_blob(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
         payloads.append(raw)
         offset += len(raw)
     header = {"format": FORMAT, "version": VERSION, "meta": meta, "entries": entries}
-    with open(path, "wb") as fh:
-        fh.write(canonical_json(header).encode("utf-8"))
-        fh.write(b"\n")
-        for raw in payloads:
-            fh.write(raw)
+    atomic_write(path, canonical_json(header).encode("utf-8") + b"\n", *payloads)
 
 
 def read_blob(path) -> tuple[dict[str, np.ndarray], dict]:

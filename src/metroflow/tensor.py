@@ -204,20 +204,19 @@ class Tensor:
 
         return Tensor._from_op(out, (self,), backward)
 
-    def pad1d(self, axis: int, before: int, after: int):
-        """Zero-pad along one axis; backward slices the padding back off."""
-        if before < 0 or after < 0:
-            raise DimensionError(f"negative padding ({before}, {after})")
-        widths = [(0, 0)] * self.ndim
-        widths[axis] = (before, after)
-        out = np.pad(self.data, widths)
-        key = [slice(None)] * self.ndim
-        key[axis] = slice(before, before + self.data.shape[axis])
-        key = tuple(key)
-        return Tensor._from_op(out, (self,), lambda g: _accum(self, g[key]))
-
     def __getitem__(self, key):
-        key = _check_slice(key, self.shape)
+        """Ints and full slices only, as in ``x[:, n - 1, :]``; an int out of
+        range or any other key (a partial slice too) is a DimensionError."""
+        key = key if isinstance(key, tuple) else (key,)
+        if len(key) > self.ndim:
+            raise DimensionError(f"{len(key)} indices for shape {self.shape}")
+        for item, extent in zip(key, self.shape):
+            if isinstance(item, slice) and item == slice(None):
+                continue
+            if isinstance(item, bool) or not isinstance(item, int):
+                raise DimensionError(f"unsupported index {item!r}; use ints and ':'")
+            if not -extent <= item < extent:
+                raise DimensionError(f"index {item} out of bounds for extent {extent}")
         out = self.data[key]
 
         def backward(g):
@@ -269,33 +268,6 @@ def _spread(g, shape, axis) -> np.ndarray:
     if axis is not None:
         g = np.expand_dims(g, axis)
     return np.broadcast_to(g, shape)
-
-
-def _check_slice(key, shape):
-    if not isinstance(key, tuple):
-        key = (key,)
-    if len(key) > len(shape):
-        raise DimensionError(f"{len(key)} indices for shape {shape}")
-    normalized = []
-    for item, extent in zip(key, shape):
-        if isinstance(item, int):
-            if not -extent <= item < extent:
-                raise DimensionError(f"index {item} out of bounds for extent {extent}")
-            normalized.append(item)
-        elif isinstance(item, slice):
-            if item.step not in (None, 1):
-                raise DimensionError("strided slicing is not supported")
-            start, stop, _ = item.indices(extent)
-            if (item.start is not None and not -extent <= item.start <= extent) or (
-                item.stop is not None and not -extent <= item.stop <= extent
-            ):
-                raise DimensionError(f"slice {item} out of bounds for extent {extent}")
-            if stop < start:
-                raise DimensionError(f"empty slice {item} on extent {extent}")
-            normalized.append(slice(start, stop))
-        else:
-            raise DimensionError(f"unsupported index {item!r}")
-    return tuple(normalized)
 
 
 def matmul(a: Tensor, b) -> Tensor:

@@ -278,21 +278,15 @@ def compare(specs: list[ModelSpec], datasets, config: TrainConfig) -> Comparison
     """Train each spec under identical config and emit a table sorted by MAE."""
     if not specs:
         raise UsageError("compare needs at least one model spec")
-    tally = {}
-    for spec in specs:
-        tally[spec.kind] = tally.get(spec.kind, 0) + 1
-    seen = {}
+    kinds = [spec.kind for spec in specs]
+    if len(set(kinds)) != len(kinds):
+        raise UsageError(f"compare takes each model kind once, got {kinds}")
     reports = {}
     rows = []
     for spec in specs:
-        if tally[spec.kind] == 1:
-            label = spec.kind
-        else:
-            seen[spec.kind] = seen.get(spec.kind, 0) + 1
-            label = f"{spec.kind}#{seen[spec.kind]}"
         model = build_model(spec)
         report = train(model, datasets, config)
-        reports[label] = report
+        reports[spec.kind] = report
         rows.append(ComparisonRow(kind=spec.kind, ours=report.test,
                                   reference=PUBLISHED_REFERENCE.get(spec.kind)))
     rows.sort(key=lambda r: r.ours.mae)

@@ -233,6 +233,9 @@ CORRUPTIONS = {
     "window-past-series-end": ("dataset", lambda h: h["meta"].update(window=100)),
     "nan-payload": ("dataset", None),
     "checkpoint-nan-payload": ("checkpoint", None),
+    "checkpoint-missing-entry": ("checkpoint",
+                                 lambda h: h["entries"].remove(_entry(h, "head/b"))),
+    "checkpoint-entry-shape": ("checkpoint", lambda h: _entry(h, "head/W").update(shape=[1, 1])),
     "spec-bool-hidden-size": ("checkpoint",
                               lambda h: h["meta"]["model_spec"].update(hidden_size=True)),
     "spec-negative-seed": ("checkpoint", lambda h: h["meta"]["model_spec"].update(seed=-1)),

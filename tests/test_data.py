@@ -393,6 +393,19 @@ class TestCache:
         with pytest.raises(SchemaError):
             load_cache(path)
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        from metroflow.serialize import atomic_write, write_blob
+        path = tmp_path / "model.bin"
+        write_blob(path, {"x": np.ones(3)}, {})
+        before = path.read_bytes()
+        with pytest.raises(TypeError):  # the second chunk is not bytes
+            atomic_write(path, b"half a header", "not bytes")
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+        write_blob(path, {"x": np.zeros(3)}, {})
+        assert path.read_bytes() != before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
 
 class TestHistoryWindow:
     def test_returns_preceding_rows(self, tmp_path):

@@ -230,6 +230,54 @@ class TestConv1d:
 
         assert_gradients_match(fn, [conv.W.data.copy(), conv.b.data.copy(), x])
 
+    @staticmethod
+    def loop_reference(x, w, b):
+        """Explicit loops over batch, time, output channel and tap."""
+        batch, n, _ = x.shape
+        out_channels, _, k = w.shape
+        pad = (k - 1) // 2
+        y = np.empty((batch, n, out_channels))
+        for s in range(batch):
+            for t in range(n):
+                for o in range(out_channels):
+                    total = b[o]
+                    for j in range(k):
+                        if 0 <= t + j - pad < n:
+                            total += w[o, :, j] @ x[s, t + j - pad]
+                    y[s, t, o] = total
+        return y
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_matches_loop_reference(self, k):
+        conv = Conv1d(3, 4, k, make_rng(30 + k))
+        conv.b.data[...] = make_rng(40 + k).normal(size=4)
+        x = make_rng(50 + k).uniform(-1, 1, (3, 9, 3))
+        expected = self.loop_reference(x, conv.W.data, conv.b.data)
+        np.testing.assert_allclose(conv(Tensor(x)).data, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_batched_gradients(self, k):
+        conv = Conv1d(2, 3, k, make_rng(60 + k))
+        x = make_rng(70 + k).uniform(-1, 1, (3, 8, 2))
+        weights = Tensor(make_rng(80 + k).normal(size=(3, 8, 3)))
+
+        def fn(w, b, xv):
+            conv.W, conv.b = w, b
+            out = conv(xv)
+            return (out * out * weights).sum()
+
+        bias = make_rng(90 + k).normal(size=3)
+        assert_gradients_match(fn, [conv.W.data.copy(), bias, x])
+
+    def test_one_node(self):
+        conv = Conv1d(2, 3, 5, make_rng(31))
+        x = Tensor(np.ones((3, 8, 2)))
+        out = conv(x)
+        assert out._parents == (x, conv.W, conv.b)
+        out.sum().backward()
+        assert x.grad is None
+        assert conv.W.grad.shape == conv.W.shape and conv.b.grad.shape == conv.b.shape
+
 
 class TestAttention:
     def test_single_row_passes_value_through(self):

@@ -156,6 +156,21 @@ class TestBatch:
         assert (a == b).all()
 
 
+    def test_mstim_step_graph_nodes(self):
+        """Nodes reachable from one B=32 training loss, walked as perfbench does."""
+        model = build_model(small_spec("mstim"))
+        rng = np.random.default_rng(14)
+        loss = mse_loss(model.forward_batch(Tensor(rng.standard_normal((32, 8, 5)))),
+                        Tensor(rng.standard_normal((32, 1))))
+        seen, todo = set(), [loss]
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                todo.extend(node._parents)
+        assert len(seen) == 46
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("kind", KINDS)
     def test_roundtrip_bit_exact(self, kind, tmp_path):
