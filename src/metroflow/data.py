@@ -1,9 +1,10 @@
 """CSV ingestion, feature encoding, normalization and windowing.
 
-The pipeline is parse -> clean -> encode -> split_and_window.  Splits are
+The pipeline is parse -> clean -> encode -> split_and_window; only the parse
+works row by row, and the stages after it pass numpy columns.  Splits are
 chronological, normalization statistics come from the training rows only,
-and windows never cross a split boundary or a timeline gap longer than
-six hours.
+and windows never cross a split boundary or a timeline gap longer than six
+hours.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError, UsageError
+from .errors import ConfigError, NumericError, SchemaError, UsageError
 from .models import ModelSpec
 from .serialize import digest, read_blob, write_blob
 
@@ -47,23 +48,14 @@ MAX_PLAUSIBLE_RAIN = 300.0
 
 DATASET_FORMAT = "metroflow-dataset"
 
-
-@dataclass(frozen=True)
-class RawRecord:
-    holiday: str
-    temp: float
-    rain_1h: float
-    snow_1h: float
-    clouds_all: float
-    weather_main: str
-    weather_description: str
-    date_time: datetime
-    traffic_volume: int
+#: Columns ``parse_csv`` keeps, in the order of its row tuples.
+_PARSED = ("holiday", "weather_main", *MEASURED_COLUMNS, "date_time", "traffic_volume")
+_TEXT = ("holiday", "weather_main")
 
 
 @dataclass
 class ParseResult:
-    records: list
+    columns: dict  # column name -> [L] array of accepted rows
     rejects: list  # dicts with line number and reason
 
 
@@ -75,62 +67,64 @@ def _from_epoch(seconds: float) -> datetime:
     return _EPOCH + timedelta(seconds=float(seconds))
 
 
+def _parse_row(row) -> tuple:
+    """One CSV row as a tuple in ``_PARSED`` order; a ValueError or
+    OverflowError carries the reason the row is rejected."""
+    if len(row) != len(RAW_COLUMNS):
+        raise ValueError(f"expected 9 fields, found {len(row)}")
+    measured = [float(v) for v in row[1:5]]
+    when = _to_epoch(datetime.strptime(row[7], TIME_FORMAT))
+    volume = float(int(row[8]))
+    bad = [c for c, v in zip(MEASURED_COLUMNS, measured) if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"non-finite {bad[0]}")
+    if volume < 0:
+        raise ValueError("negative traffic_volume")
+    if not 0.0 <= measured[3] <= 100.0:
+        raise ValueError("clouds_all outside [0, 100]")
+    return (row[0], row[5], *measured, when, volume)
+
+
 def parse_csv(path) -> ParseResult:
-    """Read the nine-column traffic CSV; malformed rows land in rejects."""
-    records = []
+    """Read the nine-column traffic CSV; malformed rows land in rejects.
+
+    Accepted rows come back as ``[L]`` columns in file order, str objects for
+    the text columns and floats for the rest, ``date_time`` in epoch seconds.
+    ``weather_description`` is never encoded, so it is not kept.
+    """
+    rows = []
     rejects = []
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty file, expected a header row")
-        if len(header) != len(RAW_COLUMNS):
+            header = next(reader, None)
+            if header is None:
+                raise SchemaError(f"{path}: empty file, expected a header row")
+            if len(header) != len(RAW_COLUMNS):
+                raise SchemaError(f"{path}: expected {len(RAW_COLUMNS)} columns, "
+                                  f"found {len(header)}")
+            for got, want in zip(header, RAW_COLUMNS):
+                if got.strip() != want:
+                    raise SchemaError(
+                        f"{path}: unknown header column {got!r}, expected {want!r}")
+            for row in reader:
+                if row:
+                    try:
+                        rows.append(_parse_row(row))
+                    except (ValueError, OverflowError) as err:
+                        rejects.append({"line": reader.line_num, "reason": str(err)})
+        except (csv.Error, UnicodeDecodeError) as err:
             raise SchemaError(
-                f"{path}: expected {len(RAW_COLUMNS)} columns, found {len(header)}"
-            )
-        for got, want in zip(header, RAW_COLUMNS):
-            if got.strip() != want:
-                raise SchemaError(f"{path}: unknown header column {got!r}, expected {want!r}")
-        for row in reader:
-            line = reader.line_num
-            if not row:
-                continue
-            if len(row) != len(RAW_COLUMNS):
-                rejects.append({"line": line, "reason": f"expected 9 fields, found {len(row)}"})
-                continue
-            try:
-                record = RawRecord(
-                    holiday=row[0],
-                    temp=float(row[1]),
-                    rain_1h=float(row[2]),
-                    snow_1h=float(row[3]),
-                    clouds_all=float(row[4]),
-                    weather_main=row[5],
-                    weather_description=row[6],
-                    date_time=datetime.strptime(row[7], TIME_FORMAT),
-                    traffic_volume=int(row[8]),
-                )
-            except ValueError as err:
-                rejects.append({"line": line, "reason": str(err)})
-                continue
-            bad = [c for c in MEASURED_COLUMNS if not math.isfinite(getattr(record, c))]
-            if bad:
-                rejects.append({"line": line, "reason": f"non-finite {bad[0]}"})
-                continue
-            if record.traffic_volume < 0:
-                rejects.append({"line": line, "reason": "negative traffic_volume"})
-                continue
-            if not 0.0 <= record.clouds_all <= 100.0:
-                rejects.append({"line": line, "reason": "clouds_all outside [0, 100]"})
-                continue
-            records.append(record)
-    return ParseResult(records=records, rejects=rejects)
+                f"{path}: unreadable CSV ({reader.line_num} lines read): {err}") from None
+    fields = list(zip(*rows)) or [()] * len(_PARSED)
+    columns = {name: np.array(values, dtype=object if name in _TEXT else np.float64)
+               for name, values in zip(_PARSED, fields)}
+    return ParseResult(columns=columns, rejects=rejects)
 
 
 @dataclass
 class CleanResult:
-    records: list
+    columns: dict
     dropped_temperature: int
     dropped_rain: int
     duplicate_timestamps: int
@@ -138,33 +132,24 @@ class CleanResult:
     @property
     def summary(self) -> dict:
         return {
-            "kept": len(self.records),
+            "kept": len(self.columns["date_time"]),
             "dropped_temperature": self.dropped_temperature,
             "dropped_rain": self.dropped_rain,
             "duplicate_timestamps": self.duplicate_timestamps,
         }
 
 
-def clean(records) -> CleanResult:
+def clean(columns) -> CleanResult:
     """Drop impossible readings, dedupe timestamps keep-first, sort by time."""
-    dropped_temp = 0
-    dropped_rain = 0
-    duplicates = 0
-    seen = {}
-    for r in records:
-        if r.temp < MIN_PLAUSIBLE_TEMP:
-            dropped_temp += 1
-            continue
-        if r.rain_1h > MAX_PLAUSIBLE_RAIN:
-            dropped_rain += 1
-            continue
-        if r.date_time in seen:
-            duplicates += 1
-            continue
-        seen[r.date_time] = r
-    kept = sorted(seen.values(), key=lambda r: r.date_time)
-    return CleanResult(records=kept, dropped_temperature=dropped_temp,
-                       dropped_rain=dropped_rain, duplicate_timestamps=duplicates)
+    cold = columns["temp"] < MIN_PLAUSIBLE_TEMP
+    wet = ~cold & (columns["rain_1h"] > MAX_PLAUSIBLE_RAIN)
+    plausible = np.flatnonzero(~cold & ~wet)
+    # first occurrence of each timestamp, in time order
+    _, first = np.unique(columns["date_time"][plausible], return_index=True)
+    keep = plausible[first]
+    return CleanResult(columns={name: col[keep] for name, col in columns.items()},
+                       dropped_temperature=int(cold.sum()), dropped_rain=int(wet.sum()),
+                       duplicate_timestamps=len(plausible) - len(keep))
 
 
 @dataclass
@@ -174,43 +159,36 @@ class EncodedSeries:
     vocab: tuple          # weather_main categories backing the one-hot block
 
 
-def discover_vocab(records) -> tuple:
-    return tuple(sorted({r.weather_main for r in records}))
+def discover_vocab(columns) -> tuple:
+    return tuple(sorted(set(columns["weather_main"])))
 
 
-def encode(records, vocab=None) -> EncodedSeries:
-    """Encode records into fixed-width feature rows.
+def encode(columns, vocab=None) -> EncodedSeries:
+    """Encode parsed columns into fixed-width feature rows.
 
     Column order: temp, rain_1h, snow_1h, clouds_all, hour sin/cos, day-of-week
     sin/cos, holiday flag, one one-hot column per vocabulary entry, and
-    traffic_volume last.  Categories outside the vocabulary leave the one-hot
+    traffic_volume last.  Hour and weekday come from the epoch seconds
+    (1970-01-01 was a Thursday, weekday 3), and the angles use the scalar
+    expressions ``2.0 * np.pi * h / 24.0`` and ``2.0 * np.pi * w / 7.0`` over
+    whole columns.  Categories outside the vocabulary leave the one-hot
     block all zero.  Continuous columns stay on their raw scale here;
     standardization happens against training statistics when splitting.
     """
     if vocab is None:
-        vocab = discover_vocab(records)
+        vocab = discover_vocab(columns)
     vocab = tuple(vocab)
-    index = {name: i for i, name in enumerate(vocab)}
-    d = 9 + len(vocab) + 1
-    features = np.zeros((len(records), d))
-    times = np.zeros(len(records))
-    for i, r in enumerate(records):
-        hour_angle = 2.0 * np.pi * r.date_time.hour / 24.0
-        dow_angle = 2.0 * np.pi * r.date_time.weekday() / 7.0
-        features[i, 0] = r.temp
-        features[i, 1] = r.rain_1h
-        features[i, 2] = r.snow_1h
-        features[i, 3] = r.clouds_all
-        features[i, 4] = np.sin(hour_angle)
-        features[i, 5] = np.cos(hour_angle)
-        features[i, 6] = np.sin(dow_angle)
-        features[i, 7] = np.cos(dow_angle)
-        features[i, 8] = 0.0 if r.holiday == "None" else 1.0
-        j = index.get(r.weather_main)
-        if j is not None:
-            features[i, 9 + j] = 1.0
-        features[i, d - 1] = float(r.traffic_volume)
-        times[i] = _to_epoch(r.date_time)
+    times = columns["date_time"]
+    hour_angle = 2.0 * np.pi * (times // 3600 % 24) / 24.0
+    dow_angle = 2.0 * np.pi * ((times // 86400 + 3) % 7) / 7.0
+    categories = np.array(vocab, dtype=object)
+    features = np.column_stack([
+        *(columns[name] for name in MEASURED_COLUMNS),
+        np.sin(hour_angle), np.cos(hour_angle), np.sin(dow_angle), np.cos(dow_angle),
+        columns["holiday"] != "None",
+        columns["weather_main"][:, None] == categories[None, :],
+        columns["traffic_volume"],
+    ])
     return EncodedSeries(features=features, times=times, vocab=vocab)
 
 
@@ -227,7 +205,9 @@ class Stats:
         return cls(mean=mean, std=std)
 
     def normalize(self, rows: np.ndarray) -> np.ndarray:
-        return (rows - self.mean) / self.std
+        out = rows - self.mean
+        out /= self.std  # in place: no second [L, d] temporary
+        return out
 
 
 def denormalize(preds, stats: Stats):
@@ -310,8 +290,11 @@ def split_and_window(encoded: EncodedSeries, n: int, horizon: int) -> DatasetBun
             f"series of {length} records cannot fit one window of {n}+{horizon} steps"
         )
     train_end, val_end = _boundaries(length)
-    stats = Stats.fit(encoded.features[:train_end] if train_end else encoded.features)
-    series = stats.normalize(encoded.features)
+    with np.errstate(all="ignore"):  # an overflow surfaces in the check below
+        stats = Stats.fit(encoded.features[:train_end] if train_end else encoded.features)
+        series = stats.normalize(encoded.features)
+    if not all(np.isfinite(a).all() for a in (stats.mean, stats.std, series)):
+        raise NumericError("the training rows overflow the normalization statistics")
     times = encoded.times
 
     spans = zip(SPLITS, ((0, train_end), (train_end, val_end), (val_end, length)))
@@ -340,6 +323,27 @@ def _bundle_hash(bundle: DatasetBundle) -> str:
     })
 
 
+def _encode_csv(csv_path) -> tuple:
+    """The EncodedSeries of one CSV and its ingest summary; the parsed
+    columns die with this frame, before any windows exist."""
+    parsed = parse_csv(csv_path)
+    cleaned = clean(parsed.columns)
+    kept = cleaned.summary["kept"]
+    if not kept:
+        raise ConfigError(f"{csv_path}: no usable records after cleaning")
+    train_end, _ = _boundaries(kept)
+    vocab = discover_vocab({name: col[:train_end or kept]
+                            for name, col in cleaned.columns.items()})
+    summary = {
+        "parsed": len(parsed.columns["date_time"]),
+        "rejected": len(parsed.rejects),
+        "rejects": parsed.rejects,
+        "cleaning": cleaned.summary,
+        "vocabulary": list(vocab),
+    }
+    return encode(cleaned.columns, vocab=vocab), summary
+
+
 def prepare_dataset(csv_path, n: int = ModelSpec.window,
                     horizon: int = ModelSpec.horizon) -> DatasetBundle:
     """Full pipeline from CSV to windowed splits, with a run summary.
@@ -348,27 +352,20 @@ def prepare_dataset(csv_path, n: int = ModelSpec.window,
     cleaned timeline so evaluation-only categories cannot widen the feature
     space.
     """
-    parsed = parse_csv(csv_path)
-    cleaned = clean(parsed.records)
-    records = cleaned.records
-    if not records:
-        raise ConfigError(f"{csv_path}: no usable records after cleaning")
-    train_end, _ = _boundaries(len(records))
-    vocab = discover_vocab(records[:train_end] if train_end else records)
-    encoded = encode(records, vocab=vocab)
-    bundle = split_and_window(encoded, n=n, horizon=horizon)
+    encoded, summary = _encode_csv(csv_path)
+    try:
+        bundle = split_and_window(encoded, n=n, horizon=horizon)
+    except NumericError as err:
+        raise ConfigError(f"{csv_path}: {err}") from None
+    train_end, val_end = bundle.bounds
     bundle.summary = {
-        "parsed": len(parsed.records),
-        "rejected": len(parsed.rejects),
-        "rejects": parsed.rejects,
-        "cleaning": cleaned.summary,
-        "vocabulary": list(vocab),
+        **summary,
         "feature_count": int(bundle.series.shape[1]),
         "window": n,
         "horizon": horizon,
         "ratios": list(SPLIT_RATIOS),
-        "split_rows": dict(zip(SPLITS, (train_end, bundle.bounds[1] - train_end,
-                                        len(records) - bundle.bounds[1]))),
+        "split_rows": dict(zip(SPLITS, (train_end, val_end - train_end,
+                                        len(bundle.series) - val_end))),
         "window_counts": {name: int(len(bundle.starts[name])) for name in SPLITS},
     }
     return bundle

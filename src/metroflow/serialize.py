@@ -32,9 +32,10 @@ def digest(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def atomic_write(path, *chunks: bytes) -> None:
-    """Write ``chunks`` to a temporary file beside ``path``, then move it into
-    place; on any error the temporary file is removed and ``path`` kept."""
+def atomic_write(path, *chunks) -> None:
+    """Write ``chunks`` (bytes or contiguous arrays) to a temporary file beside
+    ``path``, then move it into place; on any error the temporary file is
+    removed and ``path`` kept."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -48,15 +49,15 @@ def atomic_write(path, *chunks: bytes) -> None:
 
 
 def write_blob(path, arrays: dict[str, np.ndarray], meta: dict) -> None:
+    """Write ``arrays`` and ``meta``, each array's buffer as it is: no copy."""
     entries = []
     offset = 0
     payloads = []
     for name, arr in arrays.items():
         arr = np.ascontiguousarray(arr, dtype="<f8")
-        raw = arr.tobytes()
         entries.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        payloads.append(raw)
-        offset += len(raw)
+        payloads.append(arr)
+        offset += arr.nbytes
     header = {"format": FORMAT, "version": VERSION, "meta": meta, "entries": entries}
     atomic_write(path, canonical_json(header).encode("utf-8") + b"\n", *payloads)
 

@@ -73,6 +73,19 @@ class TestPrepare:
         assert code == 2
         assert "absent.csv" in capsys.readouterr().err
 
+    def test_overflowing_values_exit_two_without_cache(self, tmp_path, capsys):
+        # two finite temperatures of 1e308 overflow the training mean and std
+        lines = write_csv(tmp_path / "huge.csv", hours=120).read_text().splitlines()
+        for i in (3, 4):
+            lines[i] = lines[i].replace(lines[i].split(",")[1], "1e308", 1)
+        (tmp_path / "huge.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run("prepare", "--csv", tmp_path / "huge.csv", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "huge.csv" in err and "Traceback" not in err
+        assert not (out / "dataset.bin").exists()
+        assert not (out / "prepare_summary.json").exists()
+
     def test_missing_csv_flag(self, tmp_path):
         assert run("prepare", "--out", tmp_path) == 2
 

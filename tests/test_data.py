@@ -10,7 +10,6 @@ import pytest
 from datetime import datetime, timedelta
 
 from metroflow.data import (
-    RawRecord,
     Stats,
     clean,
     denormalize,
@@ -33,14 +32,25 @@ HEADER = ("holiday,temp,rain_1h,snow_1h,clouds_all,weather_main,"
 WEATHER = ["Clear", "Clouds", "Rain", "Snow"]
 
 
-def record(hour_offset, temp=280.0, rain=0.0, snow=0.0, clouds=40.0,
-           weather="Clouds", holiday="None", volume=1000,
-           start=datetime(2016, 1, 1)):
-    return RawRecord(
-        holiday=holiday, temp=temp, rain_1h=rain, snow_1h=snow,
-        clouds_all=clouds, weather_main=weather, weather_description="x",
-        date_time=start + timedelta(hours=hour_offset), traffic_volume=volume,
-    )
+EPOCH = datetime(1970, 1, 1)
+TEXT_COLUMNS = ("holiday", "weather_main")
+
+
+def row(hour_offset, temp=280.0, rain=0.0, snow=0.0, clouds=40.0,
+        weather="Clouds", holiday="None", volume=1000,
+        start=datetime(2016, 1, 1)):
+    """One accepted CSV row as parse_csv keeps it, keyed by column."""
+    when = start + timedelta(hours=hour_offset)
+    return {"holiday": holiday, "weather_main": weather, "temp": temp,
+            "rain_1h": rain, "snow_1h": snow, "clouds_all": clouds,
+            "date_time": (when - EPOCH).total_seconds(), "traffic_volume": volume}
+
+
+def columns(*rows):
+    """Rows from ``row()`` as the column dict parse_csv returns."""
+    return {name: np.array([r[name] for r in rows],
+                           dtype=object if name in TEXT_COLUMNS else np.float64)
+            for name in rows[0]}
 
 
 def csv_row(hour, temp=280.0, weather="Clouds", holiday="None", volume=None,
@@ -65,7 +75,7 @@ class TestParse:
     def test_round_trip_counts(self, tmp_path):
         path = write_csv(tmp_path / "ok.csv", hours=50)
         result = parse_csv(path)
-        assert len(result.records) == 50
+        assert len(result.columns["date_time"]) == 50
         assert result.rejects == []
 
     def test_field_types(self, tmp_path):
@@ -73,17 +83,19 @@ class TestParse:
         path.write_text(HEADER + "\n" +
                         "None,288.28,0.0,0.0,40,Clouds,scattered clouds,"
                         "2012-10-02 09:00:00,5545\n")
-        r = parse_csv(path).records[0]
-        assert r.temp == pytest.approx(288.28)
-        assert r.traffic_volume == 5545
-        assert r.date_time == datetime(2012, 10, 2, 9, 0, 0)
-        assert r.weather_main == "Clouds"
+        c = parse_csv(path).columns
+        assert c["temp"][0] == pytest.approx(288.28)
+        assert c["traffic_volume"][0] == 5545
+        assert c["date_time"][0] == (datetime(2012, 10, 2, 9, 0, 0) - EPOCH).total_seconds()
+        assert c["weather_main"][0] == "Clouds"
+        assert "weather_description" not in c
 
     def test_empty_body(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(HEADER + "\n")
         result = parse_csv(path)
-        assert result.records == [] and result.rejects == []
+        assert all(len(col) == 0 for col in result.columns.values())
+        assert result.rejects == []
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -117,7 +129,7 @@ class TestParse:
             csv_row(2),
         ]) + "\n")
         result = parse_csv(path)
-        assert len(result.records) == 2
+        assert len(result.columns["date_time"]) == 2
         assert len(result.rejects) == 1
         assert result.rejects[0]["line"] == 3
 
@@ -134,7 +146,7 @@ class TestParse:
             "None,280,0,-inf,40,Clouds,x,2016-01-01 06:00:00,10",
         ]) + "\n")
         result = parse_csv(path)
-        assert result.records == []
+        assert len(result.columns["date_time"]) == 0
         reasons = " | ".join(r["reason"] for r in result.rejects)
         assert "traffic_volume" in reasons
         assert "clouds_all" in reasons
@@ -145,51 +157,73 @@ class TestParse:
             {"line": 8, "reason": "non-finite snow_1h"},
         ]
 
+    def test_volume_too_large_for_float_rejected(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text("\n".join([HEADER, csv_row(0, volume="9" * 400), csv_row(1)]) + "\n")
+        result = parse_csv(path)
+        assert result.rejects == [{"line": 2, "reason": "int too large to convert to float"}]
+        assert len(result.columns["date_time"]) == 1
+
+    @pytest.mark.parametrize("body", [
+        # an unclosed quote runs past the csv module's field size limit
+        b'"None,280,0,0,40,Clouds,x,2016-01-01 00:00:00,10\n' + b"x" * 140_000 + b"\n",
+        b"None,280,0,0,40,Cl\xffouds,x,2016-01-01 00:00:00,10\n",  # not UTF-8
+    ], ids=["field-limit", "not-utf8"])
+    def test_unreadable_csv(self, tmp_path, body):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(HEADER.encode() + b"\n" + body)
+        with pytest.raises(SchemaError, match="bad.csv: unreadable CSV"):
+            parse_csv(path)
+
 
 class TestClean:
     def test_temp_sentinel_dropped(self):
-        result = clean([record(0, temp=0.0), record(1)])
-        assert len(result.records) == 1
+        result = clean(columns(row(0, temp=0.0), row(1)))
+        assert len(result.columns["date_time"]) == 1
         assert result.dropped_temperature == 1
 
     def test_extreme_rain_dropped(self):
-        result = clean([record(0, rain=9831.3), record(1)])
-        assert len(result.records) == 1
+        result = clean(columns(row(0, rain=9831.3), row(1)))
+        assert len(result.columns["date_time"]) == 1
         assert result.dropped_rain == 1
 
     def test_duplicate_keeps_first(self):
-        first = record(0, volume=111)
-        second = record(0, volume=222)
-        result = clean([first, second, record(1)])
+        result = clean(columns(row(0, volume=111), row(0, volume=222), row(1)))
         assert result.duplicate_timestamps == 1
-        assert result.records[0].traffic_volume == 111
+        assert result.columns["traffic_volume"][0] == 111
+        # out of order: the first row at hour 5 wins, and time order follows
+        result = clean(columns(row(5, volume=111), row(1), row(5, volume=222)))
+        assert result.duplicate_timestamps == 1
+        np.testing.assert_array_equal(result.columns["traffic_volume"], [1000, 111])
 
     def test_sorted_output(self):
-        result = clean([record(5), record(1), record(3)])
-        times = [r.date_time for r in result.records]
+        result = clean(columns(row(5), row(1), row(3)))
+        times = result.columns["date_time"].tolist()
         assert times == sorted(times)
 
     def test_idempotent(self):
-        once = clean([record(0, temp=0.0), record(2), record(2), record(1)])
-        twice = clean(once.records)
-        assert twice.records == once.records
+        once = clean(columns(row(0, temp=0.0), row(2), row(2), row(1)))
+        twice = clean(once.columns)
+        assert twice.columns.keys() == once.columns.keys()
+        for name, col in once.columns.items():
+            np.testing.assert_array_equal(twice.columns[name], col)
         assert twice.dropped_temperature == 0
         assert twice.duplicate_timestamps == 0
 
 
 class TestEncode:
     def test_hour_zero(self):
-        e = encode([record(0)])
+        e = encode(columns(row(0)))
         assert e.features[0, 4] == pytest.approx(0.0, abs=1e-12)
         assert e.features[0, 5] == pytest.approx(1.0, abs=1e-12)
 
     def test_hour_six(self):
-        e = encode([record(6)])
+        e = encode(columns(row(6)))
         assert e.features[0, 4] == pytest.approx(1.0, abs=1e-12)
         assert e.features[0, 5] == pytest.approx(0.0, abs=1e-12)
 
     def test_cyclic_identity(self):
-        e = encode([record(h) for h in range(170)])
+        e = encode(columns(*(row(h) for h in range(170))))
         hour = e.features[:, 4] ** 2 + e.features[:, 5] ** 2
         dow = e.features[:, 6] ** 2 + e.features[:, 7] ** 2
         np.testing.assert_allclose(hour, 1.0, atol=1e-12)
@@ -197,41 +231,56 @@ class TestEncode:
 
     def test_day_of_week_period(self):
         # 2016-01-01 is a Friday; one week later the encoding repeats
-        e = encode([record(0), record(24 * 7)])
+        e = encode(columns(row(0), row(24 * 7)))
         np.testing.assert_allclose(e.features[0, 6:8], e.features[1, 6:8], atol=1e-12)
 
     def test_vocab_discovery_sorted(self):
-        recs = [record(h, weather=w) for h, w in enumerate(["Rain", "Clear", "Rain"])]
-        assert discover_vocab(recs) == ("Clear", "Rain")
+        rows = [row(h, weather=w) for h, w in enumerate(["Rain", "Clear", "Rain"])]
+        assert discover_vocab(columns(*rows)) == ("Clear", "Rain")
 
     def test_one_hot_block(self):
-        e = encode([record(0, weather="Rain")], vocab=("Clear", "Rain"))
+        e = encode(columns(row(0, weather="Rain")), vocab=("Clear", "Rain"))
         np.testing.assert_array_equal(e.features[0, 9:11], [0.0, 1.0])
 
     def test_unknown_category_all_zero(self):
-        e = encode([record(0, weather="Squall")], vocab=("Clear", "Rain"))
+        e = encode(columns(row(0, weather="Squall")), vocab=("Clear", "Rain"))
         np.testing.assert_array_equal(e.features[0, 9:11], [0.0, 0.0])
 
     def test_holiday_flag(self):
-        e = encode([record(0, holiday="None"), record(1, holiday="New Years Day")])
+        e = encode(columns(row(0, holiday="None"), row(1, holiday="New Years Day")))
         assert e.features[0, 8] == 0.0
         assert e.features[1, 8] == 1.0
 
     def test_width_and_volume_last(self):
-        e = encode([record(0, volume=1234)], vocab=("Clear", "Clouds", "Rain"))
+        e = encode(columns(row(0, volume=1234)), vocab=("Clear", "Clouds", "Rain"))
         assert e.features.shape == (1, 13)
         assert e.features[0, -1] == 1234.0
         assert e.features.shape[1] == 9 + len(e.vocab) + 1
 
+    def test_cyclic_columns_match_scalar_formulas(self):
+        # every hour of two weeks in each year 2012-2018: the array sin/cos
+        # must equal, bit for bit, the scalar calls on each row's own hour
+        # and weekday, which is what keeps prepared datasets byte-identical
+        stamps = [datetime(year, year - 2011, 9) + timedelta(hours=h)
+                  for year in range(2012, 2019) for h in range(14 * 24)]
+        e = encode(columns(*(row(0, start=when) for when in stamps)))
+        expected = []
+        for when in stamps:
+            hour_angle = 2.0 * np.pi * when.hour / 24.0
+            dow_angle = 2.0 * np.pi * when.weekday() / 7.0
+            expected.append([np.sin(hour_angle), np.cos(hour_angle),
+                             np.sin(dow_angle), np.cos(dow_angle)])
+        np.testing.assert_array_equal(e.features[:, 4:8], np.array(expected))
+
 
 def hourly_series(length, vocab=("Clear", "Clouds"), seed=0):
     rng = np.random.default_rng(seed)
-    recs = [record(h, temp=270 + 20 * rng.random(),
-                   clouds=float(rng.integers(0, 101)),
-                   weather=vocab[h % len(vocab)],
-                   volume=int(rng.integers(200, 6000)))
+    rows = [row(h, temp=270 + 20 * rng.random(),
+                clouds=float(rng.integers(0, 101)),
+                weather=vocab[h % len(vocab)],
+                volume=int(rng.integers(200, 6000)))
             for h in range(length)]
-    return encode(recs, vocab=vocab)
+    return encode(columns(*rows), vocab=vocab)
 
 
 class TestSplitWindow:
@@ -244,8 +293,8 @@ class TestSplitWindow:
         assert len(b.test.windows) == 20 - 6 - 1 + 1
 
     def test_gap_breaks_windows(self):
-        recs = [record(h) for h in range(40)] + [record(h + 12) for h in range(40, 100)]
-        e = encode(recs, vocab=("Clouds",))
+        rows = [row(h) for h in range(40)] + [row(h + 12) for h in range(40, 100)]
+        e = encode(columns(*rows), vocab=("Clouds",))
         b = split_and_window(e, n=6, horizon=1)
         # train rows 0..69 split at the gap into runs of 40 and 30
         assert len(b.train.windows) == (40 - 6) + (30 - 6)
@@ -405,6 +454,22 @@ class TestCache:
         write_blob(path, {"x": np.zeros(3)}, {})
         assert path.read_bytes() != before
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
+    def test_write_blob_streams_array_buffers(self, tmp_path):
+        import tracemalloc
+        from metroflow.serialize import read_blob, write_blob
+        series = np.arange(1 << 20, dtype=np.float64)  # an 8 MiB payload
+        tracemalloc.start()
+        try:
+            write_blob(tmp_path / "big.bin", {"series": series}, {"n": 1})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < series.nbytes / 16
+        arrays, meta = read_blob(tmp_path / "big.bin")
+        np.testing.assert_array_equal(arrays["series"], series)
+        assert meta == {"n": 1}
 
 
 class TestHistoryWindow:
