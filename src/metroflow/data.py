@@ -4,7 +4,9 @@ The pipeline is parse -> clean -> encode -> split_and_window; only the parse
 works row by row, and the stages after it pass numpy columns.  Splits are
 chronological, normalization statistics come from the training rows only,
 and windows never cross a split boundary or a timeline gap longer than six
-hours.
+hours.  A split keeps its windows as a ``Windows`` view: the series and the
+window start rows, gathered into ``[B, n, d]`` only for the rows a batch or
+prediction chunk reads.
 """
 
 from __future__ import annotations
@@ -217,10 +219,35 @@ def denormalize(preds, stats: Stats):
     return np.asarray(preds, dtype=np.float64) * stats.std[-1] + stats.mean[-1]
 
 
+class Windows:
+    """The stride-1 windows ``series[s:s + n]`` for each ``s`` in ``starts``.
+
+    Indexing with an int, a slice or an int row array gathers the selected
+    windows from the series, as the same index into the ``[N, n, d]`` copy
+    of every window would return them; nothing else is held.
+    """
+
+    def __init__(self, series: np.ndarray, starts: np.ndarray, n: int):
+        self.series = series  # [L, d]
+        self.starts = starts  # [N] int rows
+        self.n = n
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return self.series[self.starts[rows, None] + np.arange(self.n)]
+
+    @property
+    def nbytes(self) -> int:
+        """The bytes this view owns: the start rows, not the shared series."""
+        return self.starts.nbytes
+
+
 @dataclass
 class WindowedDataset:
     split: str
-    windows: np.ndarray       # [N, n, d] standardized
+    windows: Windows          # [N, n, d] standardized, row-indexable
     targets: np.ndarray       # [N, T] standardized traffic_volume
     target_times: np.ndarray  # [N, T] epoch seconds
     stats: Stats
@@ -268,12 +295,11 @@ def _window_starts(times: np.ndarray, lo: int, hi: int, n: int, horizon: int) ->
     return np.concatenate(starts)
 
 
-def _materialize(series, times, starts, n, horizon, split, stats) -> WindowedDataset:
-    idx = starts[:, None] + np.arange(n)[None, :]
+def _windowed(series, times, starts, n, horizon, split, stats) -> WindowedDataset:
     tidx = starts[:, None] + n + np.arange(horizon)[None, :]
     return WindowedDataset(
         split=split,
-        windows=series[idx],
+        windows=Windows(series, starts, n),
         targets=series[tidx, -1],
         target_times=times[tidx],
         stats=stats,
@@ -299,7 +325,7 @@ def split_and_window(encoded: EncodedSeries, n: int, horizon: int) -> DatasetBun
 
     spans = zip(SPLITS, ((0, train_end), (train_end, val_end), (val_end, length)))
     starts = {name: _window_starts(times, lo, hi, n, horizon) for name, (lo, hi) in spans}
-    sets = {name: _materialize(series, times, starts[name], n, horizon, name, stats)
+    sets = {name: _windowed(series, times, starts[name], n, horizon, name, stats)
             for name in SPLITS}
 
     bundle = DatasetBundle(
@@ -325,7 +351,7 @@ def _bundle_hash(bundle: DatasetBundle) -> str:
 
 def _encode_csv(csv_path) -> tuple:
     """The EncodedSeries of one CSV and its ingest summary; the parsed
-    columns die with this frame, before any windows exist."""
+    columns die with this frame, before the series is standardized."""
     parsed = parse_csv(csv_path)
     cleaned = clean(parsed.columns)
     kept = cleaned.summary["kept"]
@@ -429,7 +455,7 @@ def load_cache(path) -> DatasetBundle:
     n, horizon = meta["window"], meta["horizon"]
     series, times = arrays["series"], arrays["times"]
     starts = {name: arrays[f"starts_{name}"].astype(np.int64) for name in SPLITS}
-    sets = {name: _materialize(series, times, starts[name], n, horizon, name, stats)
+    sets = {name: _windowed(series, times, starts[name], n, horizon, name, stats)
             for name in SPLITS}
     return DatasetBundle(
         **sets, stats=stats, vocab=tuple(meta["vocab"]), window=n, horizon=horizon,

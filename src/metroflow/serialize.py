@@ -66,7 +66,9 @@ def read_blob(path) -> tuple[dict[str, np.ndarray], dict]:
     path = Path(path)
     with open(path, "rb") as fh:
         line = fh.readline()
-        payload = fh.read()
+        # one writable buffer; every entry is a view of it, not a copy
+        payload = bytearray(os.fstat(fh.fileno()).st_size - fh.tell())
+        del payload[fh.readinto(payload):]
     try:
         header = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -91,5 +93,5 @@ def read_blob(path) -> tuple[dict[str, np.ndarray], dict]:
             raise SchemaError(f"{path} is truncated: entry {entry['name']!r} needs bytes "
                               f"{start}..{start + 8 * count} of {len(payload)}")
         arr = np.frombuffer(payload, dtype="<f8", count=count, offset=start)
-        arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float64)
+        arrays[entry["name"]] = arr.reshape(entry["shape"]).astype(np.float64, copy=False)
     return arrays, header["meta"]

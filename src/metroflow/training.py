@@ -181,10 +181,11 @@ def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
 def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
     """Train one model; deterministic given (seed, config, dataset).
 
-    ``datasets`` needs train/val/test splits exposing ``windows`` [N, n, d]
-    and ``targets`` [N, T] arrays.  The last short batch of each epoch is
-    trained on, validation is reported per epoch, test metrics once at the
-    end.  A non-finite loss aborts with the epoch, batch and loss value.
+    ``datasets`` needs train/val/test splits exposing row-indexable windows
+    (a ``data.Windows`` view or an [N, n, d] array) and ``targets`` [N, T].
+    The last short batch of each epoch is trained on, validation is reported
+    per epoch, test metrics once at the end.  A non-finite loss aborts with
+    the epoch, batch and loss value.
     """
     config.validate()
     started = time.perf_counter()

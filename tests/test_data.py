@@ -11,6 +11,7 @@ from datetime import datetime, timedelta
 
 from metroflow.data import (
     Stats,
+    Windows,
     clean,
     denormalize,
     discover_vocab,
@@ -358,8 +359,58 @@ class TestSplitWindow:
     def test_deterministic(self):
         b1 = split_and_window(hourly_series(120), n=6, horizon=1)
         b2 = split_and_window(hourly_series(120), n=6, horizon=1)
-        np.testing.assert_array_equal(b1.train.windows, b2.train.windows)
+        np.testing.assert_array_equal(b1.train.windows[:], b2.train.windows[:])
         assert b1.data_hash == b2.data_hash
+
+
+class TestWindows:
+    def view(self):
+        series = np.random.default_rng(3).normal(size=(50, 4))
+        # a gap between rows 19 and 25, as _window_starts leaves one
+        starts = np.concatenate([np.arange(0, 14), np.arange(25, 45)])
+        return Windows(series, starts, 6), series, starts
+
+    @pytest.mark.parametrize("rows", [
+        slice(None), slice(3, 9), slice(30, 99),
+        np.random.default_rng(4).permutation(34),
+        np.array([0, 5, 13, 14, 33]),
+        np.array([], dtype=np.int64),
+        slice(5, 5),
+    ], ids=["all", "slice", "slice-past-end", "shuffled", "sorted", "empty-array",
+            "empty-slice"])
+    def test_gather_matches_reference(self, rows):
+        w, series, starts = self.view()
+        got = w[rows]
+        want = series[starts[rows, None] + np.arange(6)]  # the reference gather
+        assert got.shape == want.shape and got.shape[1:] == (6, 4)
+        np.testing.assert_array_equal(got, want)
+
+    def test_single_int(self):
+        w, series, starts = self.view()
+        np.testing.assert_array_equal(w[14], series[25:31])
+        np.testing.assert_array_equal(w[-1], series[44:50])
+
+    def test_len_and_nbytes(self):
+        w, _, starts = self.view()
+        assert len(w) == len(starts) == 34
+        assert w.nbytes == starts.nbytes
+
+    def test_splits_match_per_start_slices(self):
+        b = split_and_window(hourly_series(120), n=8, horizon=2)
+        for name in ("train", "val", "test"):
+            ds = getattr(b, name)
+            assert len(ds.windows) == len(b.starts[name])
+            for i, s in enumerate(b.starts[name]):
+                np.testing.assert_array_equal(ds.windows[i], b.series[s:s + 8])
+
+    def test_load_cache_builds_views(self, tmp_path):
+        cache = tmp_path / "data.bin"
+        save_cache(split_and_window(hourly_series(120), n=6, horizon=1), cache)
+        loaded = load_cache(cache)
+        for name in ("train", "val", "test"):
+            windows = getattr(loaded, name).windows
+            assert isinstance(windows, Windows)
+            assert windows.series is loaded.series
 
 
 class TestDenormalize:
@@ -420,7 +471,7 @@ class TestCache:
         cache = tmp_path / "data.bin"
         save_cache(bundle, cache)
         loaded = load_cache(cache)
-        np.testing.assert_array_equal(loaded.train.windows, bundle.train.windows)
+        np.testing.assert_array_equal(loaded.train.windows[:], bundle.train.windows[:])
         np.testing.assert_array_equal(loaded.test.targets, bundle.test.targets)
         np.testing.assert_array_equal(loaded.times, bundle.times)
         assert loaded.vocab == bundle.vocab
@@ -470,6 +521,36 @@ class TestCache:
         arrays, meta = read_blob(tmp_path / "big.bin")
         np.testing.assert_array_equal(arrays["series"], series)
         assert meta == {"n": 1}
+
+    def test_read_blob_holds_the_payload_once(self, tmp_path):
+        import tracemalloc
+        from metroflow.serialize import read_blob, write_blob
+        series = np.arange(1 << 20, dtype=np.float64)  # an 8 MiB payload
+        write_blob(tmp_path / "big.bin", {"a": series[:1000], "series": series}, {"n": 1})
+        tracemalloc.start()
+        try:
+            arrays, _ = read_blob(tmp_path / "big.bin")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * series.nbytes
+        np.testing.assert_array_equal(arrays["series"], series)
+        np.testing.assert_array_equal(arrays["a"], series[:1000])
+        assert arrays["series"].dtype == np.float64 and arrays["series"].flags.writeable
+
+    def test_load_cache_builds_no_window_copy(self, tmp_path):
+        import tracemalloc
+        cache = tmp_path / "data.bin"
+        bundle = split_and_window(hourly_series(3000), n=24, horizon=1)
+        save_cache(bundle, cache)
+        tracemalloc.start()
+        try:
+            loaded = load_cache(cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # materialized windows alone would be about 24 times the series
+        assert peak < 3 * loaded.series.nbytes
 
 
 class TestHistoryWindow:

@@ -5,12 +5,16 @@ the sign of Adam's first step, and a quadratic bowl that any sane optimizer
 must descend.
 """
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from types import SimpleNamespace
 
+from metroflow.data import EncodedSeries, Windows, split_and_window
 from metroflow.errors import ConfigError, DimensionError, NumericError, UsageError
 from metroflow.models import ModelSpec, build_model
 from metroflow.tensor import Tensor
@@ -226,6 +230,30 @@ class TestTrainLoop:
         with pytest.raises(ConfigError):
             train(build_model(small_spec("lstm_attention")), toy_datasets(),
                   TrainConfig(epochs=0))
+
+    @pytest.mark.parametrize("kind", ["mstim", "lstm_cnn"])
+    def test_window_views_train_like_materialized_arrays(self, kind):
+        # the CLI trains on Windows views; the benchmark's train slice holds
+        # ndarrays: both must be one program with one result
+        rng = np.random.default_rng(8)
+        times = np.arange(160) * 3600.0
+        times[70:] += 12 * 3600.0  # a gap the window starts skip
+        bundle = split_and_window(
+            EncodedSeries(features=rng.normal(size=(160, 5)), times=times, vocab=()),
+            n=8, horizon=1)
+        assert isinstance(bundle.train.windows, Windows)
+
+        def materialize(ds):
+            return dataclasses.replace(ds, windows=ds.windows[:])
+
+        materialized = dataclasses.replace(
+            bundle, train=materialize(bundle.train), val=materialize(bundle.val),
+            test=materialize(bundle.test))
+        cfg = TrainConfig(epochs=2, batch_size=8, seed=5)
+        reports = [json.dumps(train(build_model(small_spec(kind)), data, cfg).to_dict(),
+                              sort_keys=True)
+                   for data in (bundle, materialized)]
+        assert reports[0] == reports[1]
 
 
 class TestCompare:
