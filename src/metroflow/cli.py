@@ -83,6 +83,8 @@ def _load_config_file(path) -> dict:
             cfg = json.load(handle)
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {path} is not valid JSON: {err}")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {err}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     for key, value in cfg.items():
@@ -289,13 +291,7 @@ def cmd_predict(settings: Settings) -> int:
     rows = np.flatnonzero((bundle.times >= start) & (bundle.times <= end))
     if rows.size == 0:
         raise UsageError(f"no records between {start_text} and {end_text}")
-    history = []
-    for row in rows:
-        try:
-            history.append(window_before(bundle, int(row)))
-        except UsageError as err:
-            raise UsageError(f"cannot predict {format_time(bundle.times[row])}: {err}")
-    preds = model.predict(np.stack(history))[:, 0]
+    preds = model.predict(window_before(bundle, rows))[:, 0]
     predicted = denormalize(preds, bundle.stats)
     actual = denormalize(bundle.series[rows, -1], bundle.stats)
     lines = ["timestamp,predicted_volume,actual_volume"]

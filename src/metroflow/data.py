@@ -4,7 +4,8 @@ The pipeline is parse -> clean -> encode -> split_and_window; only the parse
 works row by row, and the stages after it pass numpy columns.  Splits are
 chronological, normalization statistics come from the training rows only,
 and windows never cross a split boundary or a timeline gap longer than six
-hours.  A split keeps its windows as a ``Windows`` view: the series and the
+hours; ``_gap_free`` decides that for the split windows and for predict's
+history windows alike.  Both are ``Windows`` views: the series and the
 window start rows, gathered into ``[B, n, d]`` only for the rows a batch or
 prediction chunk reads.
 """
@@ -281,18 +282,20 @@ def _boundaries(length: int) -> tuple:
     return train_end, val_end
 
 
+def _gap_free(times: np.ndarray, starts: np.ndarray, span: int) -> np.ndarray:
+    """True where ``times[s:s + span]`` holds no step longer than the gap limit.
+
+    ``gaps[i]`` counts the long steps among ``times[:i + 1]``, so a span is
+    gap-free when the count is the same at both of its ends.
+    """
+    gaps = np.concatenate(([0], np.cumsum(np.diff(times) > MAX_GAP_SECONDS)))
+    return gaps[starts] == gaps[starts + span - 1]
+
+
 def _window_starts(times: np.ndarray, lo: int, hi: int, n: int, horizon: int) -> np.ndarray:
     """Window start rows inside [lo, hi) whose full n+T span avoids gaps."""
-    starts = []
-    breaks = np.flatnonzero(np.diff(times[lo:hi]) > MAX_GAP_SECONDS) + lo + 1
-    edges = [lo, *breaks.tolist(), hi]
-    for a, b in zip(edges[:-1], edges[1:]):
-        last_start = b - n - horizon
-        if last_start >= a:
-            starts.append(np.arange(a, last_start + 1))
-    if not starts:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(starts)
+    starts = np.arange(lo, hi - n - horizon + 1)
+    return starts[_gap_free(times, starts, n + horizon)]
 
 
 def _windowed(series, times, starts, n, horizon, split, stats) -> WindowedDataset:
@@ -464,21 +467,22 @@ def load_cache(path) -> DatasetBundle:
     )
 
 
-def window_before(bundle: DatasetBundle, row: int) -> np.ndarray:
-    """The n standardized rows feeding a prediction of ``row``.
+def window_before(bundle: DatasetBundle, rows: np.ndarray) -> Windows:
+    """The n standardized rows before each of ``rows``, as a ``Windows`` view.
 
-    Raises when fewer than n records precede the row or when the span
-    crosses a timeline gap.
+    Each row needs n preceding records and no gap in ``times[row - n:row + 1]``;
+    the first row that fails either check is named in the UsageError.
     """
     n = bundle.window
-    if row - n < 0:
-        raise UsageError(
-            f"need {n} preceding records, only {row} exist before this timestamp"
-        )
-    span = bundle.times[row - n: row + 1]
-    if np.any(np.diff(span) > MAX_GAP_SECONDS):
-        raise UsageError("history window crosses a gap longer than six hours")
-    return bundle.series[row - n: row]
+    starts = rows - n
+    ok = starts >= 0
+    ok[ok] = _gap_free(bundle.times, starts[ok], n + 1)
+    if not ok.all():
+        row = int(rows[np.argmin(ok)])
+        reason = (f"need {n} preceding records, only {row} exist before this timestamp"
+                  if row < n else "history window crosses a gap longer than six hours")
+        raise UsageError(f"cannot predict {format_time(bundle.times[row])}: {reason}")
+    return Windows(bundle.series, starts, n)
 
 
 def format_time(seconds: float) -> str:

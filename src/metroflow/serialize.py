@@ -34,14 +34,16 @@ def digest(obj) -> str:
 
 def atomic_write(path, *chunks) -> None:
     """Write ``chunks`` (bytes or contiguous arrays) to a temporary file beside
-    ``path``, then move it into place; on any error the temporary file is
-    removed and ``path`` kept."""
+    ``path``, fsync it, then move it into place; on any error the temporary
+    file is removed and ``path`` kept."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+            fh.flush()
+            os.fsync(fh.fileno())  # the bytes reach the disk before the rename
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

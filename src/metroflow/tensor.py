@@ -274,41 +274,21 @@ def matmul(a: Tensor, b) -> Tensor:
     """Matrix product; supports 2-D x 2-D, batched x 2-D and batched x batched."""
     b = _as_tensor(b)
     A, B = a.data, b.data
-    if A.ndim == 2 and B.ndim == 2:
-        if A.shape[1] != B.shape[0]:
-            raise DimensionError(f"matmul inner dimensions differ: {A.shape} x {B.shape}")
-        out = A @ B
-
-        def backward(g):
-            if a.requires_grad:
-                _accum(a, g @ B.T)
-            if b.requires_grad:
-                _accum(b, A.T @ g)
-
-    elif A.ndim == 3 and B.ndim == 2:
-        if A.shape[2] != B.shape[0]:
-            raise DimensionError(f"matmul inner dimensions differ: {A.shape} x {B.shape}")
-        out = A @ B
-
-        def backward(g):
-            if a.requires_grad:
-                _accum(a, g @ B.T)
-            if b.requires_grad:
-                _accum(b, np.tensordot(A, g, axes=([0, 1], [0, 1])))
-
-    elif A.ndim == 3 and B.ndim == 3:
-        if A.shape[0] != B.shape[0] or A.shape[2] != B.shape[1]:
-            raise DimensionError(f"matmul batch shapes differ: {A.shape} x {B.shape}")
-        out = A @ B
-
-        def backward(g):
-            if a.requires_grad:
-                _accum(a, g @ B.swapaxes(1, 2))
-            if b.requires_grad:
-                _accum(b, A.swapaxes(1, 2) @ g)
-
-    else:
+    if (A.ndim, B.ndim) not in ((2, 2), (3, 2), (3, 3)):
         raise DimensionError(f"unsupported matmul ranks: {A.shape} x {B.shape}")
+    if B.ndim == 3 and (A.shape[0] != B.shape[0] or A.shape[2] != B.shape[1]):
+        raise DimensionError(f"matmul batch shapes differ: {A.shape} x {B.shape}")
+    if A.shape[-1] != B.shape[-2]:
+        raise DimensionError(f"matmul inner dimensions differ: {A.shape} x {B.shape}")
+    out = A @ B
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, g @ np.swapaxes(B, -1, -2))
+        if b.requires_grad:
+            _accum(b, np.swapaxes(A, -1, -2) @ g if A.ndim == B.ndim
+                   else np.tensordot(A, g, axes=([0, 1], [0, 1])))
+
     return Tensor._from_op(out, (a, b), backward)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -48,8 +49,10 @@ class TrainConfig:
             if not _is_int(value) or value < 1:
                 raise ConfigError(f"{name} must be a positive int, got {value!r}")
         for name in ("learning_rate", "eps", "grad_clip"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0 < value < math.inf):  # NaN fails both comparisons
+                raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
         if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"optimizer must be one of {', '.join(OPTIMIZERS)}, "
                               f"got {self.optimizer!r}")

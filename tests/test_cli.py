@@ -131,6 +131,12 @@ class TestTrain:
     def test_missing_dataset_exit_two(self, tmp_path):
         assert run("train", "--model", "mstim", "--out", tmp_path, *SMALL) == 2
 
+    def test_nan_learning_rate_exit_two(self, workspace, tmp_path, capsys):
+        assert run("train", "--model", "mstim", "--out", tmp_path,
+                   "--data", workspace["out"] / "dataset.bin", *SMALL, "--lr", "nan") == 2
+        err = capsys.readouterr().err
+        assert err == "error: learning_rate must be a positive finite number, got nan\n"
+
     def test_truncated_dataset_exit_two(self, workspace, tmp_path, capsys):
         data = tmp_path / "dataset.bin"
         data.write_bytes((workspace["out"] / "dataset.bin").read_bytes()[:-100])
@@ -197,6 +203,14 @@ class TestConfigFile:
         cfg.write_text("{not json")
         assert run("train", "--model", "mstim", "--out", tmp_path,
                    "--config", cfg) == 2
+
+    def test_not_utf8_exit_two(self, tmp_path, capsys):
+        cfg = tmp_path / "utf16.json"
+        cfg.write_bytes(b"\xff\xfe" + '{"epochs": 1}'.encode("utf-16-le"))
+        assert run("train", "--model", "mstim", "--out", tmp_path,
+                   "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert "utf16.json" in err and "Traceback" not in err
 
 
 class TestEvaluate:
@@ -353,7 +367,24 @@ class TestPredict:
                    "--out", workspace["out"],
                    "--from", "2016-01-01 00:00:00", "--to", "2016-01-01 02:00:00")
         assert code == 2
-        assert "2016-01-01" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: cannot predict 2016-01-01 00:00:00: need 8 preceding records, "
+            "only 0 exist before this timestamp\n")
+
+    def test_range_across_gap_exit_two(self, workspace, tmp_path, capsys):
+        # drop hours 60-69: 2016-01-03 11:00 and 2016-01-03 22:00 are 11 hours apart
+        lines = workspace["csv"].read_text().splitlines()
+        csv = tmp_path / "gap.csv"
+        csv.write_text("\n".join(lines[:61] + lines[71:]) + "\n")
+        assert run("prepare", "--csv", csv, "--out", tmp_path, "--window", "8") == 0
+        assert run("train", "--model", "lstm_attention", "--out", tmp_path, *SMALL) == 0
+        capsys.readouterr()
+        code = run("predict", "--model", "lstm_attention", "--out", tmp_path,
+                   "--from", "2016-01-03 20:00:00", "--to", "2016-01-04 12:00:00")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: cannot predict 2016-01-03 22:00:00: history window crosses a gap "
+            "longer than six hours\n")
 
     def test_empty_range_exit_two(self, workspace):
         assert run("predict", "--model", "lstm_attention",

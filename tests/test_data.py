@@ -10,8 +10,10 @@ import pytest
 from datetime import datetime, timedelta
 
 from metroflow.data import (
+    MAX_GAP_SECONDS,
     Stats,
     Windows,
+    _window_starts,
     clean,
     denormalize,
     discover_vocab,
@@ -553,24 +555,59 @@ class TestCache:
         assert peak < 3 * loaded.series.nbytes
 
 
+def brute_force_starts(times, lo, hi, n, horizon):
+    """Every start in [lo, hi - n - horizon] whose n+T span has no long step."""
+    return [s for s in range(lo, hi - n - horizon + 1)
+            if all(times[j + 1] - times[j] <= MAX_GAP_SECONDS
+                   for j in range(s, s + n + horizon - 1))]
+
+
+class TestWindowRule:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_starts_match_brute_force(self, seed):
+        rng = np.random.default_rng(seed)
+        length = int(rng.integers(1, 80))
+        # hourly steps with some at, and just past, the six-hour limit
+        steps = rng.choice([3600, 7200, MAX_GAP_SECONDS, MAX_GAP_SECONDS + 1, 86400],
+                           size=length - 1, p=[0.7, 0.1, 0.1, 0.05, 0.05])
+        times = 1.45e9 + np.concatenate(([0], np.cumsum(steps))).astype(np.float64)
+        bounds = [(0, length), (length, length), (0, 0), (length // 2, length // 2)]
+        bounds += [tuple(sorted(rng.integers(0, length + 1, size=2))) for _ in range(6)]
+        for n, horizon in ((1, 1), (3, 2), (6, 1)):
+            for lo, hi in bounds:
+                got = _window_starts(times, int(lo), int(hi), n, horizon)
+                assert got.dtype == np.int64
+                np.testing.assert_array_equal(
+                    got, brute_force_starts(times, int(lo), int(hi), n, horizon))
+
+
 class TestHistoryWindow:
+    def bundle(self, tmp_path, gap_after=None):
+        path = write_csv(tmp_path / "t.csv", hours=60, gap_after=gap_after)
+        return prepare_dataset(path, n=6, horizon=1)
+
     def test_returns_preceding_rows(self, tmp_path):
-        path = write_csv(tmp_path / "t.csv", hours=60)
-        bundle = prepare_dataset(path, n=6, horizon=1)
-        w = window_before(bundle, 10)
-        np.testing.assert_array_equal(w, bundle.series[4:10])
+        bundle = self.bundle(tmp_path)
+        rows = np.array([10, 6, 59, 11, 30])
+        w = window_before(bundle, rows)
+        assert isinstance(w, Windows) and len(w) == len(rows)
+        np.testing.assert_array_equal(w[:], np.stack([bundle.series[r - 6:r] for r in rows]))
 
     def test_insufficient_history(self, tmp_path):
-        path = write_csv(tmp_path / "t.csv", hours=60)
-        bundle = prepare_dataset(path, n=6, horizon=1)
-        with pytest.raises(UsageError):
-            window_before(bundle, 3)
+        bundle = self.bundle(tmp_path)
+        with pytest.raises(UsageError) as err:
+            window_before(bundle, np.array([10, 3, 2]))
+        assert str(err.value) == (f"cannot predict {format_time(bundle.times[3])}: need 6 "
+                                  "preceding records, only 3 exist before this timestamp")
 
     def test_gap_refused(self, tmp_path):
-        path = write_csv(tmp_path / "t.csv", hours=60, gap_after=30)
-        bundle = prepare_dataset(path, n=6, horizon=1)
-        with pytest.raises(UsageError):
-            window_before(bundle, 32)
+        # rows 29 and 30 are 13 hours apart, so rows 30-35 have a gap behind them
+        bundle = self.bundle(tmp_path, gap_after=30)
+        window_before(bundle, np.array([29, 36]))
+        with pytest.raises(UsageError) as err:
+            window_before(bundle, np.array([40, 33, 2, 32]))
+        assert str(err.value) == (f"cannot predict {format_time(bundle.times[33])}: "
+                                  "history window crosses a gap longer than six hours")
 
 
 class TestTimeHelpers:

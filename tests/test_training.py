@@ -176,6 +176,8 @@ class TestConfig:
         ("epochs", 0), ("learning_rate", 0.0), ("batch_size", -1),
         ("optimizer", "rmsprop"), ("grad_clip", 0.0), ("seed", -1), ("seed", True),
         ("epochs", True), ("batch_size", True), ("epochs", 2.5), ("batch_size", 4.0),
+        ("learning_rate", float("nan")), ("learning_rate", True), ("eps", float("inf")),
+        ("grad_clip", float("nan")),
     ])
     def test_validation(self, field, value):
         c = TrainConfig()
