@@ -77,7 +77,17 @@ def _check_type(key: str, value) -> None:
         )
 
 
+def need_file(path, flag: str, missing: str) -> Path:
+    """``path`` when it names a regular file; otherwise a UsageError that names
+    ``flag`` when something else is there and says ``missing`` when nothing is."""
+    path = Path(path)
+    if not path.is_file():
+        raise UsageError(f"{flag} {path} is not a regular file" if path.exists() else missing)
+    return path
+
+
 def _load_config_file(path) -> dict:
+    need_file(path, "--config", f"config file {path} not found")
     try:
         with open(path, encoding="utf-8") as handle:
             cfg = json.load(handle)
@@ -109,25 +119,25 @@ class Settings:
         return self._file.get(key, DEFAULTS.get(key))
 
     def out_dir(self) -> Path:
-        out = self.get("out") or os.environ.get("METROFLOW_OUT") or DEFAULT_OUT
-        path = Path(out)
-        path.mkdir(parents=True, exist_ok=True)
+        path = Path(self.get("out") or os.environ.get("METROFLOW_OUT") or DEFAULT_OUT)
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise UsageError(f"--out {path} is not a directory") from None
         return path
 
     def dataset_path(self) -> Path:
-        data = self.get("data")
-        return Path(data) if data else self.out_dir() / DATASET_FILE
+        path = Path(self.get("data") or self.out_dir() / DATASET_FILE)
+        return need_file(path, "--data",
+                         f"prepared dataset not found at {path}; run prepare first")
+
+    def checkpoint_path(self, kind: str) -> Path:
+        path = Path(self.get("checkpoint") or self.out_dir() / f"model_{kind}.bin")
+        return need_file(path, "--checkpoint", f"checkpoint not found at {path}")
 
 
 def write_json(path, obj) -> None:
     atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
-
-
-def load_bundle(settings: Settings):
-    path = settings.dataset_path()
-    if not path.exists():
-        raise UsageError(f"prepared dataset not found at {path}; run prepare first")
-    return load_cache(path)
 
 
 def build_train_config(settings: Settings) -> TrainConfig:
@@ -146,21 +156,26 @@ def model_spec_for(settings: Settings, bundle, kind: str) -> ModelSpec:
     )
 
 
-def check_compat(model: ForecastModel, meta: dict, bundle) -> None:
+def load_compatible(checkpoint: Path, dataset: Path) -> tuple:
+    """The checkpoint's model and the dataset's bundle; a CompatibilityError
+    naming both files when the model was not trained on that dataset."""
+    bundle = load_cache(dataset)
+    model, meta = ForecastModel.load(checkpoint)
     stored = meta.get("data_hash")
     if stored is not None and stored != bundle.data_hash:
         raise CompatibilityError(
-            "checkpoint was trained against a different prepared dataset "
-            f"(stored hash {stored[:12]}…, dataset hash {bundle.data_hash[:12]}…)"
+            f"checkpoint {checkpoint} was trained against a different prepared dataset than "
+            f"{dataset} (stored hash {stored[:12]}…, dataset hash {bundle.data_hash[:12]}…)"
         )
     spec = model.spec
     if (spec.input_features != bundle.input_features
             or spec.window != bundle.window or spec.horizon != bundle.horizon):
         raise CompatibilityError(
-            f"checkpoint expects {spec.window}x{spec.input_features} windows with "
-            f"horizon {spec.horizon}, dataset provides {bundle.window}x"
+            f"checkpoint {checkpoint} expects {spec.window}x{spec.input_features} windows "
+            f"with horizon {spec.horizon}, dataset {dataset} provides {bundle.window}x"
             f"{bundle.input_features} with horizon {bundle.horizon}"
         )
+    return model, bundle
 
 
 def test_slice_plot(model: ForecastModel, bundle, kind: str, steps: int = 168) -> str:
@@ -186,6 +201,7 @@ def cmd_prepare(settings: Settings) -> int:
     if not csv_path:
         raise UsageError("prepare needs --csv pointing at the traffic-volume CSV")
     out = settings.out_dir()
+    csv_path = need_file(csv_path, "--csv", f"CSV not found at {csv_path}")
     bundle = prepare_dataset(csv_path, n=settings.get("window"),
                              horizon=settings.get("horizon"))
     cache = out / DATASET_FILE
@@ -203,7 +219,7 @@ def cmd_prepare(settings: Settings) -> int:
 def cmd_train(settings: Settings) -> int:
     kind = settings.get("model")
     config = build_train_config(settings)
-    bundle = load_bundle(settings)
+    bundle = load_cache(settings.dataset_path())
     model = build_model(model_spec_for(settings, bundle, kind))
     report = train(model, bundle, config)
     out = settings.out_dir()
@@ -224,12 +240,8 @@ def cmd_evaluate(settings: Settings) -> int:
     kind = settings.get("model")
     split = settings.get("split")
     out = settings.out_dir()
-    checkpoint = Path(settings.get("checkpoint") or out / f"model_{kind}.bin")
-    if not checkpoint.exists():
-        raise UsageError(f"checkpoint not found at {checkpoint}")
-    bundle = load_bundle(settings)
-    model, meta = ForecastModel.load(checkpoint)
-    check_compat(model, meta, bundle)
+    checkpoint = settings.checkpoint_path(kind)
+    model, bundle = load_compatible(checkpoint, settings.dataset_path())
     ds = getattr(bundle, split)
     if len(ds.windows) == 0:
         raise UsageError(f"{split} split has no windows to evaluate")
@@ -255,7 +267,7 @@ def cmd_evaluate(settings: Settings) -> int:
 
 def cmd_compare(settings: Settings) -> int:
     config = build_train_config(settings)
-    bundle = load_bundle(settings)
+    bundle = load_cache(settings.dataset_path())
     specs = [model_spec_for(settings, bundle, kind) for kind in KINDS]
     result = compare(specs, bundle, config)
     out = settings.out_dir()
@@ -275,9 +287,7 @@ def cmd_compare(settings: Settings) -> int:
 def cmd_predict(settings: Settings) -> int:
     kind = settings.get("model")
     out = settings.out_dir()
-    checkpoint = Path(settings.get("checkpoint") or out / f"model_{kind}.bin")
-    if not checkpoint.exists():
-        raise UsageError(f"checkpoint not found at {checkpoint}")
+    checkpoint = settings.checkpoint_path(kind)
     start_text = settings.get("from_ts")
     end_text = settings.get("to_ts")
     if not start_text or not end_text:
@@ -285,9 +295,7 @@ def cmd_predict(settings: Settings) -> int:
     start, end = parse_time(start_text), parse_time(end_text)
     if end < start:
         raise UsageError(f"--to {end_text} is earlier than --from {start_text}")
-    bundle = load_bundle(settings)
-    model, meta = ForecastModel.load(checkpoint)
-    check_compat(model, meta, bundle)
+    model, bundle = load_compatible(checkpoint, settings.dataset_path())
     rows = np.flatnonzero((bundle.times >= start) & (bundle.times <= end))
     if rows.size == 0:
         raise UsageError(f"no records between {start_text} and {end_text}")
@@ -389,10 +397,7 @@ def main(argv=None) -> int:
             FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except MetroflowError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (MetroflowError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -7,7 +7,9 @@ and windows never cross a split boundary or a timeline gap longer than six
 hours; ``_gap_free`` decides that for the split windows and for predict's
 history windows alike.  Both are ``Windows`` views: the series and the
 window start rows, gathered into ``[B, n, d]`` only for the rows a batch or
-prediction chunk reads.
+prediction chunk reads.  The dataset cache holds only the standardized
+series, its times and statistics; ``load_cache`` derives the split bounds,
+window starts and ``data_hash`` with the code ``split_and_window`` uses.
 """
 
 from __future__ import annotations
@@ -294,8 +296,8 @@ def _gap_free(times: np.ndarray, starts: np.ndarray, span: int) -> np.ndarray:
 
 def _window_starts(times: np.ndarray, lo: int, hi: int, n: int, horizon: int) -> np.ndarray:
     """Window start rows inside [lo, hi) whose full n+T span avoids gaps."""
-    starts = np.arange(lo, hi - n - horizon + 1)
-    return starts[_gap_free(times, starts, n + horizon)]
+    starts = np.arange(hi - lo - n - horizon + 1)  # relative to lo: gaps over [lo, hi) only
+    return lo + starts[_gap_free(times[lo:hi], starts, n + horizon)]
 
 
 def _windowed(series, times, starts, n, horizon, split, stats) -> WindowedDataset:
@@ -318,22 +320,26 @@ def split_and_window(encoded: EncodedSeries, n: int, horizon: int) -> DatasetBun
         raise ConfigError(
             f"series of {length} records cannot fit one window of {n}+{horizon} steps"
         )
-    train_end, val_end = _boundaries(length)
+    train_end, _ = _boundaries(length)
     with np.errstate(all="ignore"):  # an overflow surfaces in the check below
         stats = Stats.fit(encoded.features[:train_end] if train_end else encoded.features)
         series = stats.normalize(encoded.features)
     if not all(np.isfinite(a).all() for a in (stats.mean, stats.std, series)):
         raise NumericError("the training rows overflow the normalization statistics")
-    times = encoded.times
+    return _bundle(series, encoded.times, stats, encoded.vocab, n, horizon)
 
-    spans = zip(SPLITS, ((0, train_end), (train_end, val_end), (val_end, length)))
+
+def _bundle(series, times, stats, vocab, n, horizon, summary=None) -> DatasetBundle:
+    """The windowed splits of a standardized series; its split bounds, window
+    starts and ``data_hash`` all follow from it, for prepare and load_cache alike."""
+    train_end, val_end = bounds = _boundaries(len(series))
+    spans = zip(SPLITS, ((0, train_end), (train_end, val_end), (val_end, len(series))))
     starts = {name: _window_starts(times, lo, hi, n, horizon) for name, (lo, hi) in spans}
-    sets = {name: _windowed(series, times, starts[name], n, horizon, name, stats)
-            for name in SPLITS}
-
     bundle = DatasetBundle(
-        **sets, stats=stats, vocab=encoded.vocab, window=n, horizon=horizon,
-        series=series, times=times, bounds=(train_end, val_end), starts=starts,
+        **{name: _windowed(series, times, starts[name], n, horizon, name, stats)
+           for name in SPLITS},
+        stats=stats, vocab=tuple(vocab), window=n, horizon=horizon, series=series,
+        times=times, bounds=bounds, starts=starts, summary=summary or {},
     )
     bundle.data_hash = _bundle_hash(bundle)
     return bundle
@@ -401,20 +407,19 @@ def prepare_dataset(csv_path, n: int = ModelSpec.window,
 
 
 def save_cache(bundle: DatasetBundle, path) -> None:
-    """Persist the standardized series plus window bookkeeping."""
+    """Persist the standardized series, times and statistics.  ``data_hash``
+    stays in the header for tools that read only that; load_cache recomputes it."""
     arrays = {
         "series": bundle.series,
         "times": bundle.times,
         "mean": bundle.stats.mean,
         "std": bundle.stats.std,
-        **{f"starts_{name}": bundle.starts[name].astype(np.float64) for name in SPLITS},
     }
     meta = {
         "kind": DATASET_FORMAT,
         "window": bundle.window,
         "horizon": bundle.horizon,
         "vocab": list(bundle.vocab),
-        "bounds": list(bundle.bounds),
         "summary": bundle.summary,
         "data_hash": bundle.data_hash,
     }
@@ -425,10 +430,9 @@ def _cache_problem(arrays: dict, meta: dict) -> str | None:
     """Why a loaded cache cannot be used, or None when it is consistent."""
     n, horizon = meta.get("window"), meta.get("horizon")
     if not (all(type(v) is int and v >= 1 for v in (n, horizon))
-            and isinstance(meta.get("vocab"), list) and isinstance(meta.get("bounds"), list)
-            and isinstance(meta.get("data_hash", ""), str)):
-        return "window, horizon, vocab, bounds or data_hash is missing or mistyped"
-    names = ("series", "times", "mean", "std", *(f"starts_{name}" for name in SPLITS))
+            and isinstance(meta.get("vocab"), list)):
+        return "window, horizon or vocab is missing or mistyped"
+    names = ("series", "times", "mean", "std")
     missing = [name for name in names if name not in arrays]
     if missing:
         return f"missing arrays {missing}"
@@ -438,33 +442,23 @@ def _cache_problem(arrays: dict, meta: dict) -> str | None:
         return "series, times, mean and std shapes disagree"
     if not all(np.isfinite(arrays[name]).all() for name in names):
         return "non-finite values"
-    last = len(series) - n - horizon
-    for name in SPLITS:
-        starts = arrays[f"starts_{name}"]
-        if starts.ndim != 1 or not np.all((starts == np.floor(starts)) & (starts >= 0)
-                                          & (starts <= last)):
-            return f"starts_{name} must hold integer rows in [0, {last}]"
+    if len(series) < n + horizon:
+        return f"series of {len(series)} records cannot fit one window of {n}+{horizon} steps"
     return None
 
 
 def load_cache(path) -> DatasetBundle:
+    """The bundle ``save_cache`` wrote, rebuilt by the code that built it in
+    prepare; entries and keys other than the primary data are ignored."""
     arrays, meta = read_blob(path)
     if meta.get("kind") != DATASET_FORMAT:
         raise SchemaError(f"{path}: not a dataset cache (kind={meta.get('kind')!r})")
     problem = _cache_problem(arrays, meta)
     if problem:
         raise SchemaError(f"{path}: malformed dataset cache: {problem}")
-    stats = Stats(mean=arrays["mean"], std=arrays["std"])
-    n, horizon = meta["window"], meta["horizon"]
-    series, times = arrays["series"], arrays["times"]
-    starts = {name: arrays[f"starts_{name}"].astype(np.int64) for name in SPLITS}
-    sets = {name: _windowed(series, times, starts[name], n, horizon, name, stats)
-            for name in SPLITS}
-    return DatasetBundle(
-        **sets, stats=stats, vocab=tuple(meta["vocab"]), window=n, horizon=horizon,
-        series=series, times=times, bounds=tuple(meta["bounds"]), starts=starts,
-        summary=meta.get("summary", {}), data_hash=meta.get("data_hash", ""),
-    )
+    return _bundle(arrays["series"], arrays["times"],
+                   Stats(mean=arrays["mean"], std=arrays["std"]), meta["vocab"],
+                   meta["window"], meta["horizon"], summary=meta.get("summary", {}))
 
 
 def window_before(bundle: DatasetBundle, rows: np.ndarray) -> Windows:

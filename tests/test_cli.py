@@ -16,6 +16,8 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from metroflow import cli, schemas
+from metroflow.data import SPLITS, load_cache
+from metroflow.serialize import read_blob, write_blob
 
 HEADER = ("holiday,temp,rain_1h,snow_1h,clouds_all,weather_main,"
           "weather_description,date_time,traffic_volume")
@@ -241,6 +243,35 @@ class TestEvaluate:
         assert run("evaluate", "--model", "cnn_attention", "--out", tmp_path,
                    "--data", workspace["out"] / "dataset.bin") == 2
 
+    def test_rewritten_mean_exit_two(self, workspace, tmp_path, capsys):
+        arrays, meta = read_blob(workspace["out"] / "dataset.bin")
+        arrays["mean"][-1] += 1000.0  # finite, and the stored data_hash left as it was
+        data = tmp_path / "dataset.bin"
+        write_blob(data, arrays, meta)
+        checkpoint = workspace["out"] / "model_lstm_attention.bin"
+        assert run("evaluate", "--model", "lstm_attention", "--out", tmp_path, "--raw",
+                   "--checkpoint", checkpoint, "--data", data) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint ") and err.count("\n") == 1
+        assert "different prepared dataset" in err
+        assert str(checkpoint) in err and str(data) in err
+
+    def test_previous_cache_layout_evaluates(self, workspace, tmp_path):
+        # the layout that also stored window start rows, split bounds and data_hash
+        new = workspace["out"] / "dataset.bin"
+        arrays, meta = read_blob(new)
+        bundle = load_cache(new)
+        arrays.update({f"starts_{name}": bundle.starts[name].astype(np.float64)
+                       for name in SPLITS})
+        old = tmp_path / "old.bin"
+        write_blob(old, arrays, {**meta, "bounds": list(bundle.bounds)})
+        checkpoint = workspace["out"] / "model_lstm_attention.bin"
+        for tag, data in (("new", new), ("old", old)):
+            assert run("evaluate", "--model", "lstm_attention", "--out", tmp_path / tag,
+                       "--raw", "--checkpoint", checkpoint, "--data", data) == 0
+        name = "evaluation_lstm_attention.json"
+        assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+
 
 def _entry(header, name):
     return next(e for e in header["entries"] if e["name"] == name)
@@ -292,6 +323,37 @@ def test_corrupted_artifact_exit_two(workspace, tmp_path, capsys, case):
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert paths[target].name in err
+
+
+def _wrong_kind_argv(workspace, wrong):
+    """flag -> (argv passing ``wrong`` for that flag, with good paths for the rest)"""
+    data = workspace["out"] / "dataset.bin"
+    checkpoint = workspace["out"] / "model_lstm_attention.bin"
+    out = wrong.parent / "out"
+    evaluate = ("evaluate", "--model", "lstm_attention")
+    return {
+        "--config": ("train", "--out", out, "--data", data, "--config", wrong, *SMALL),
+        "--data": (*evaluate, "--out", out, "--checkpoint", checkpoint, "--data", wrong),
+        "--checkpoint": ("predict", "--model", "lstm_attention", "--out", out,
+                         "--checkpoint", wrong, "--data", data,
+                         "--from", "2016-01-05 20:00:00", "--to", "2016-01-05 23:00:00"),
+        "--csv": ("prepare", "--out", out, "--csv", wrong),
+        "--out": (*evaluate, "--out", wrong, "--checkpoint", checkpoint, "--data", data),
+    }
+
+
+@pytest.mark.parametrize("flag", ["--config", "--data", "--checkpoint", "--csv", "--out"])
+def test_wrong_kind_path_exit_two(workspace, tmp_path, capsys, flag):
+    # a directory where a file is expected; for --out, a file where a directory is
+    wrong = tmp_path / "wrong"
+    if flag == "--out":
+        wrong.write_text("not a directory\n")
+    else:
+        wrong.mkdir()
+    code = run(*_wrong_kind_argv(workspace, wrong)[flag])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {flag} {wrong} is not a ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,9 @@ import pytest
 from datetime import datetime, timedelta
 
 from metroflow.data import (
+    DATASET_FORMAT,
     MAX_GAP_SECONDS,
+    SPLITS,
     Stats,
     Windows,
     _window_starts,
@@ -28,6 +30,7 @@ from metroflow.data import (
     window_before,
 )
 from metroflow.errors import ConfigError, SchemaError, UsageError
+from metroflow.serialize import read_blob, write_blob
 
 HEADER = ("holiday,temp,rain_1h,snow_1h,clouds_all,weather_main,"
           "weather_description,date_time,traffic_volume")
@@ -488,8 +491,50 @@ class TestCache:
         save_cache(prepare_dataset(path, n=6, horizon=1), b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_holds_only_the_primary_data(self, tmp_path):
+        cache = tmp_path / "data.bin"
+        save_cache(split_and_window(hourly_series(120), n=6, horizon=1), cache)
+        arrays, meta = read_blob(cache)
+        assert set(arrays) == {"series", "times", "mean", "std"}
+        # data_hash stays in the header for readers that skip the payload
+        assert set(meta) == {"kind", "window", "horizon", "vocab", "summary", "data_hash"}
+
+    def test_previous_layout_loads_the_same(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", hours=120, gap_after=50)
+        bundle = prepare_dataset(path, n=6, horizon=2)
+        new, old = tmp_path / "new.bin", tmp_path / "old.bin"
+        save_cache(bundle, new)
+        write_previous_layout(bundle, old)
+        for loaded in (load_cache(new), load_cache(old)):
+            assert loaded.bounds == bundle.bounds
+            assert loaded.data_hash == bundle.data_hash
+            assert loaded.summary == bundle.summary
+            for name in SPLITS:
+                np.testing.assert_array_equal(loaded.starts[name], bundle.starts[name])
+                assert loaded.starts[name].dtype == np.int64
+                np.testing.assert_array_equal(getattr(loaded, name).targets,
+                                              getattr(bundle, name).targets)
+        assert read_blob(old)[1]["data_hash"] == load_cache(old).data_hash
+
+    def test_stale_hash_not_trusted(self, tmp_path):
+        cache = tmp_path / "data.bin"
+        bundle = split_and_window(hourly_series(120), n=6, horizon=1)
+        save_cache(bundle, cache)
+        arrays, meta = read_blob(cache)
+        arrays["mean"][-1] += 1000.0  # finite, so only the hash can tell
+        write_blob(cache, arrays, meta)
+        assert meta["data_hash"] == bundle.data_hash
+        assert load_cache(cache).data_hash != bundle.data_hash
+
+    def test_window_longer_than_series_rejected(self, tmp_path):
+        cache = tmp_path / "data.bin"
+        save_cache(split_and_window(hourly_series(40), n=6, horizon=1), cache)
+        arrays, meta = read_blob(cache)
+        write_blob(cache, arrays, {**meta, "window": 40})
+        with pytest.raises(SchemaError, match="cannot fit one window of 40\\+1 steps"):
+            load_cache(cache)
+
     def test_wrong_kind_rejected(self, tmp_path):
-        from metroflow.serialize import write_blob
         path = tmp_path / "other.bin"
         write_blob(path, {"x": np.zeros(3)}, {"kind": "something-else"})
         with pytest.raises(SchemaError):
@@ -553,6 +598,18 @@ class TestCache:
             tracemalloc.stop()
         # materialized windows alone would be about 24 times the series
         assert peak < 3 * loaded.series.nbytes
+
+
+def write_previous_layout(bundle, path):
+    """A cache in the layout that also stored each split's window start rows,
+    the split bounds and data_hash."""
+    arrays = {"series": bundle.series, "times": bundle.times,
+              "mean": bundle.stats.mean, "std": bundle.stats.std,
+              **{f"starts_{name}": bundle.starts[name].astype(np.float64) for name in SPLITS}}
+    meta = {"kind": DATASET_FORMAT, "window": bundle.window, "horizon": bundle.horizon,
+            "vocab": list(bundle.vocab), "bounds": list(bundle.bounds),
+            "summary": bundle.summary, "data_hash": bundle.data_hash}
+    write_blob(path, arrays, meta)
 
 
 def brute_force_starts(times, lo, hi, n, horizon):
