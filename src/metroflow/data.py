@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 
@@ -41,6 +42,11 @@ SPLIT_RATIOS = (0.7, 0.1, 0.2)
 
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 _EPOCH = datetime(1970, 1, 1)
+
+#: ``TIME_FORMAT`` at its fixed width in ASCII digits, the shape of every
+#: well-formed stamp; ``[0-9]`` because ``\d`` also matches non-ASCII digits.
+_FIXED_STAMP = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2} (?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}")
 
 #: Consecutive records further apart than this do not share a window.
 MAX_GAP_SECONDS = 6 * 3600
@@ -72,13 +78,33 @@ def _from_epoch(seconds: float) -> datetime:
     return _EPOCH + timedelta(seconds=float(seconds))
 
 
+def _parse_stamp(text: str) -> datetime:
+    """``text`` read as ``TIME_FORMAT``: the value ``datetime.strptime`` gives,
+    or a ValueError with its text.
+
+    A stamp of the fixed-width ASCII shape is parsed by the C-coded
+    ``datetime.fromisoformat``.  Any other string, and one ``fromisoformat``
+    rejects, goes to ``strptime``, which stays for two reasons: it accepts
+    spellings the fast path refuses, such as single-digit fields and runs of
+    spaces, and its ValueError text is the reject reason ``prepare`` reports.
+    """
+    if _FIXED_STAMP.fullmatch(text):
+        try:
+            return datetime.fromisoformat(text)
+        except ValueError:
+            pass  # a field out of range; strptime names it
+    return datetime.strptime(text, TIME_FORMAT)
+
+
 def _parse_row(row) -> tuple:
     """One CSV row as a tuple in ``_PARSED`` order; a ValueError or
-    OverflowError carries the reason the row is rejected."""
+    OverflowError carries the reason the row is rejected.  The timestamp goes
+    through ``_parse_stamp``, whose ``strptime`` fallback keeps the reject
+    text of a malformed stamp."""
     if len(row) != len(RAW_COLUMNS):
         raise ValueError(f"expected 9 fields, found {len(row)}")
     measured = [float(v) for v in row[1:5]]
-    when = _to_epoch(datetime.strptime(row[7], TIME_FORMAT))
+    when = _to_epoch(_parse_stamp(row[7]))
     volume = float(int(row[8]))
     bad = [c for c, v in zip(MEASURED_COLUMNS, measured) if not math.isfinite(v)]
     if bad:
@@ -485,6 +511,6 @@ def format_time(seconds: float) -> str:
 
 def parse_time(text: str) -> float:
     try:
-        return _to_epoch(datetime.strptime(text, TIME_FORMAT))
+        return _to_epoch(_parse_stamp(text))
     except ValueError:
         raise UsageError(f"timestamp {text!r} does not match {TIME_FORMAT!r}")

@@ -34,8 +34,9 @@ def digest(obj) -> str:
 
 def atomic_write(path, *chunks) -> None:
     """Write ``chunks`` (bytes or contiguous arrays) to a temporary file beside
-    ``path``, fsync it, then move it into place; on any error the temporary
-    file is removed and ``path`` kept."""
+    ``path``, fsync it, move it into place and fsync the directory, so the
+    rename is durable too; on any error before the rename the temporary file
+    is removed and ``path`` kept."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -48,6 +49,11 @@ def atomic_write(path, *chunks) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)  # the rename, a change to the directory, reaches the disk
+    finally:
+        os.close(directory)
 
 
 def write_blob(path, arrays: dict[str, np.ndarray], meta: dict) -> None:

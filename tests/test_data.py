@@ -553,6 +553,21 @@ class TestCache:
         assert path.read_bytes() != before
         assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
+    def test_write_fsyncs_file_then_directory(self, tmp_path, monkeypatch):
+        import os
+        import stat
+        from metroflow import serialize
+        synced = []
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            synced.append((stat.S_ISDIR(info.st_mode), info.st_ino))
+
+        monkeypatch.setattr(serialize.os, "fsync", fsync)
+        serialize.atomic_write(tmp_path / "model.bin", b"payload")
+        assert synced == [(False, (tmp_path / "model.bin").stat().st_ino),
+                          (True, tmp_path.stat().st_ino)]
+
 
     def test_write_blob_streams_array_buffers(self, tmp_path):
         import tracemalloc
@@ -675,3 +690,12 @@ class TestTimeHelpers:
     def test_bad_format(self):
         with pytest.raises(UsageError):
             parse_time("05/03/2016")
+
+    @pytest.mark.parametrize("text", ["2016-03-05T17:00:00", "2016-03-05 17:00:00.5",
+                                      "2016-03-05 17:00:00+01:00", "2016-03-05 24:00:00"])
+    def test_iso_variants_refused(self, text):
+        with pytest.raises(UsageError, match="does not match"):
+            parse_time(text)
+
+    def test_strptime_spellings_accepted(self):
+        assert parse_time("2016-3-5 17:00:00") == parse_time("2016-03-05 17:00:00")
