@@ -4,8 +4,12 @@ Every layer takes a batch and nothing else.  ``Conv1d``, ``LstmCell.unroll``
 and ``AttentionHead`` take windows [B, n, channels]; ``Dense`` and
 ``LstmCell.step`` take rows [B, channels], with [B, hidden] states for
 ``step``.  Any other rank or channel width is a DimensionError; one
-window is a batch of one.  ``Conv1d`` and ``LstmCell.unroll`` each run
-in numpy as one graph node with a hand-written backward.
+window is a batch of one.
+
+``Conv1d``, ``LstmCell.unroll`` and ``AttentionHead`` each run in numpy as
+one graph node with a hand-written backward, as does the multi-scale conv
+stack of ``models.ForecastModel._multi_scale``; the engine ops of ``step``
+and ``Conv1d`` are their references in the tests.
 """
 
 from __future__ import annotations
@@ -14,8 +18,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, UsageError
-from .tensor import Tensor, _accum, concat, records, softmax
+from .errors import ConfigError, DimensionError, NumericError, UsageError
+from .tensor import Tensor, _accum, concat, records
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:
@@ -114,10 +118,17 @@ class LstmCell:
     ``step`` builds one update from engine ops and is the readable
     reference.  ``unroll`` runs the whole recurrence in numpy as one
     graph node whose parents are the input and the eight parameters.  It
-    stacks the gate weights, read at call time, into one [H + in, 4H]
-    matrix whose column blocks are i, f, o, C in that order; the first H
-    rows multiply h_prev and the last ``in`` rows multiply x_t.  Its
-    backward is hand-written backpropagation through time.
+    works feature-major, after Appleyard et al. 2016 (arXiv:1604.01946).
+    The parameters, read at call time, stack into one [4H, H + in + 1]
+    matrix whose row blocks are i, f, o, C in that order; its columns
+    multiply [h_prev; x_t; 1], so the bias rides in the input product.
+    Each step's gates are a [4H, B] array of contiguous [H, B] blocks.  A
+    step projects [x_t; 1] on its own, into the kept gates or, under
+    ``no_grad``, into one [4H, B] scratch array, so both give
+    bit-identical outputs and ``no_grad`` keeps nothing per step.  The
+    backward is hand-written backpropagation through time; one
+    [4H, n * B] x [n * B, H + in + 1] matmul over the kept inputs of
+    every step gives all weight and bias gradients.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -167,68 +178,81 @@ class LstmCell:
         batch, n = x.shape[0], x.shape[1]
         if n < 1:
             raise UsageError("cannot unroll an empty sequence")
-        H = self.hidden_size
+        H, D = self.hidden_size, self.input_size
         weights = (self.W_i, self.W_f, self.W_o, self.W_C)
         biases = (self.b_i, self.b_f, self.b_o, self.b_C)
         parents = (sequence,) + weights + biases
-        stacked = np.concatenate([w.data.T for w in weights], axis=1)  # [H + in, 4H]
-        wh_t, wx_t = stacked[:H], stacked[H:]  # row blocks, so both contiguous
-        bias = np.concatenate([b.data for b in biases])
+        # [4H, H + in + 1], multiplying [h_{t-1}; x_t; 1]
+        stacked = np.concatenate([np.column_stack([w.data, b.data])
+                                  for w, b in zip(weights, biases)])
+        wh, wx = np.ascontiguousarray(stacked[:, :H]), np.ascontiguousarray(stacked[:, H:])
         keep = records(parents)
-        gates = np.empty((n, batch, 4 * H)) if keep else None
-        cells = np.empty((n, batch, H)) if keep else None
-        scratch = None if keep else np.empty((batch, 4 * H))
+        if keep:
+            gates = np.empty((n, 4 * H, batch))  # activated gates of every step
+            cells = np.empty((n, H, batch))
+            tanh_c = np.empty((n, H, batch))
+            inputs = np.empty((n, H + D + 1, batch))  # [h_{t-1}; x_t; 1] of every step
+            inputs[0, :H] = 0.0
+            inputs[:, H:H + D] = x.transpose(1, 2, 0)
+            inputs[:, H + D] = 1.0
+        else:
+            scratch = np.empty((4 * H, batch))
+            x_one = np.empty((D + 1, batch))  # [x_t; 1]
+            x_one[D] = 1.0
         out = np.empty((batch, n, H))
-        h, c = None, np.zeros((batch, H))
+        h, c = None, np.zeros((H, batch))
         # exp(-z) overflows to inf for z < -709, which gives the correct 0.0
         with np.errstate(over="ignore"):
             for t in range(n):
-                z = gates[t] if keep else scratch
-                np.matmul(x[:, t], wx_t, out=z)
+                if keep:
+                    z = np.matmul(wx, inputs[t, H:], out=gates[t])
+                else:
+                    x_one[:D] = x[:, t].T
+                    z = np.matmul(wx, x_one, out=scratch)
                 if t:
-                    z += h @ wh_t
-                z += bias
-                z[:, :3 * H] = 1.0 / (1.0 + np.exp(-z[:, :3 * H]))
-                np.tanh(z[:, 3 * H:], out=z[:, 3 * H:])
-                i, f, o, cand = z[:, :H], z[:, H:2 * H], z[:, 2 * H:3 * H], z[:, 3 * H:]
+                    z += wh @ h
+                s = z[:3 * H]
+                np.negative(s, out=s)
+                np.exp(s, out=s)
+                s += 1.0
+                np.reciprocal(s, out=s)
+                np.tanh(z[3 * H:], out=z[3 * H:])
+                i, f, o, cand = z[:H], z[H:2 * H], z[2 * H:3 * H], z[3 * H:]
                 c = f * c + i * cand
-                h = o * np.tanh(c)
-                out[:, t] = h
+                tc = np.tanh(c)
+                h = o * tc
+                out[:, t] = h.T
                 if keep:
                     cells[t] = c
+                    tanh_c[t] = tc
+                    if t + 1 < n:
+                        inputs[t + 1, :H] = h
 
         def backward(g):
-            g3 = g.reshape(batch, n, H)
-            dz = np.empty((n, batch, 4 * H))  # d loss / d gate pre-activations
-            dh, dc = g3[:, n - 1], 0.0
+            dz = np.empty((4 * H, n, batch))  # d loss / d gate pre-activations
+            dh, dc = g[:, n - 1].T, 0.0
             for t in range(n - 1, -1, -1):
-                a = gates[t]
-                i, f, o, cand = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
-                tc = np.tanh(cells[t])
+                z, tc = gates[t], tanh_c[t]
+                i, f, o, cand = z[:H], z[H:2 * H], z[2 * H:3 * H], z[3 * H:]
                 dc = dc + dh * o * (1.0 - tc * tc)
-                d = dz[t]
-                d[:, :H] = dc * cand * i * (1.0 - i)
-                d[:, H:2 * H] = dc * cells[t - 1] * f * (1.0 - f) if t else 0.0
-                d[:, 2 * H:3 * H] = dh * tc * o * (1.0 - o)
-                d[:, 3 * H:] = dc * i * (1.0 - cand * cand)
+                d = dz[:, t]
+                d[:H] = dc * cand * i * (1.0 - i)
+                d[H:2 * H] = dc * cells[t - 1] * f * (1.0 - f) if t else 0.0
+                d[2 * H:3 * H] = dh * tc * o * (1.0 - o)
+                d[3 * H:] = dc * i * (1.0 - cand * cand)
                 if t:
                     dc = dc * f
-                    dh = g3[:, t - 1] + d @ wh_t.T
-            flat = dz.reshape(n * batch, 4 * H)
-            h_prev = out[:, :-1].transpose(1, 0, 2).reshape(-1, H)  # h_0 = 0 adds nothing
-            dw = np.empty((4 * H, H + self.input_size))
-            dw[:, :H] = dz[1:].reshape(-1, 4 * H).T @ h_prev
-            dw[:, H:] = flat.T @ x.transpose(1, 0, 2).reshape(n * batch, -1)
-            db = flat.sum(axis=0)
+                    dh = g[:, t - 1].T + wh.T @ d
+            flat = dz.reshape(4 * H, n * batch)
+            dw = flat @ inputs.transpose(0, 2, 1).reshape(n * batch, H + D + 1)  # d stacked
             if sequence.requires_grad:
-                dx = (flat @ wx_t.T).reshape(n, batch, -1).transpose(1, 0, 2)
-                _accum(sequence, dx)
+                _accum(sequence, (wx[:, :D].T @ flat).reshape(D, n, batch).transpose(2, 1, 0))
             for k, (w, b) in enumerate(zip(weights, biases)):
                 block = slice(k * H, (k + 1) * H)
                 if w.requires_grad:
-                    _accum(w, dw[block])
+                    _accum(w, dw[block, :H + D])
                 if b.requires_grad:
-                    _accum(b, db[block])
+                    _accum(b, dw[block, H + D])
 
         return Tensor._from_op(out, parents, backward)
 
@@ -244,6 +268,12 @@ class AttentionHead:
 
     Q, K and V are linear projections of the same input; each output row is
     a convex combination of the V rows with softmax(QK^T/sqrt(d_k)) weights.
+
+    A call is one graph node with parents (h, W_Q, W_K, W_V).  The softmax
+    subtracts each row's maximum, and non-finite scores raise NumericError.
+    The backward gets the three weight gradients from one
+    [d, B * n] x [B * n, 3 d_k] matmul and the input gradient from one more.
+    Under ``no_grad`` q and k are freed before v is projected.
     """
 
     def __init__(self, d_model: int, d_k: int, rng: np.random.Generator):
@@ -253,15 +283,43 @@ class AttentionHead:
         self.W_K = glorot_uniform(rng, (d_model, d_k), d_model, d_k)
         self.W_V = glorot_uniform(rng, (d_model, d_k), d_model, d_k)
 
-    def _scores(self, h: Tensor) -> Tensor:
-        q = h @ self.W_Q
-        k = h @ self.W_K
-        return (q @ k.transpose((0, 2, 1))) * (1.0 / math.sqrt(self.d_k))
-
     def __call__(self, h: Tensor) -> Tensor:
         _check_batch(h, self.d_model, "attention")
-        weights = softmax(self._scores(h), axis=-1)
-        return weights @ (h @ self.W_V)
+        parents = (h, self.W_Q, self.W_K, self.W_V)
+        x, wq, wk, wv = (p.data for p in parents)
+        d_k = self.d_k
+        q, k = x @ wq, x @ wk
+        weights = q @ k.transpose(0, 2, 1)
+        scale = 1.0 / math.sqrt(d_k)
+        weights *= scale
+        if not np.isfinite(weights).all():
+            raise NumericError("attention scores contain non-finite values")
+        weights -= weights.max(axis=-1, keepdims=True)
+        np.exp(weights, out=weights)
+        weights /= weights.sum(axis=-1, keepdims=True)
+        if not records(parents):
+            del q, k  # free both before the value product
+            return Tensor(weights @ (x @ wv))
+        v = x @ wv
+
+        def backward(g):
+            dweights = g @ v.transpose(0, 2, 1)
+            ds = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
+            ds *= scale
+            dqkv = np.empty(x.shape[:2] + (3 * d_k,))  # d loss / d [q | k | v]
+            np.matmul(ds, k, out=dqkv[..., :d_k])
+            np.matmul(ds.transpose(0, 2, 1), q, out=dqkv[..., d_k:2 * d_k])
+            np.matmul(weights.transpose(0, 2, 1), g, out=dqkv[..., 2 * d_k:])
+            flat = dqkv.reshape(-1, 3 * d_k)
+            dw = x.reshape(-1, self.d_model).T @ flat  # [d, 3 d_k]: Q, K, V blocks
+            for j, w in enumerate(parents[1:]):
+                if w.requires_grad:
+                    _accum(w, dw[:, j * d_k:(j + 1) * d_k])
+            if h.requires_grad:
+                stacked = np.concatenate([wq, wk, wv], axis=1)  # [d, 3 d_k]
+                _accum(h, (flat @ stacked.T).reshape(x.shape))
+
+        return Tensor._from_op(weights @ v, parents, backward)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"W_Q": self.W_Q, "W_K": self.W_K, "W_V": self.W_V}

@@ -8,7 +8,8 @@ additively across fan-out, then frees the graph.  A second ``backward()``
 on the same graph is rejected; rebuild the forward pass instead.
 
 Only two broadcasting forms are supported for elementwise arithmetic:
-scalar-with-tensor and equal shapes.  Everything else is a DimensionError.
+equal shapes, and scalar-with-tensor where the result keeps one operand's
+shape.  Everything else is a DimensionError.
 """
 
 from __future__ import annotations
@@ -232,9 +233,13 @@ def _as_tensor(value) -> Tensor:
 
 
 def _accum(t: Tensor, g) -> None:
+    """Add ``g``, which must already have ``t``'s shape, into ``t.grad``.
+    The first write stores a copy, as ``g`` may be a view or reach two
+    parents."""
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def _reduce_to(g, shape) -> np.ndarray:
@@ -246,7 +251,10 @@ def _reduce_to(g, shape) -> np.ndarray:
 
 def _elementwise_binary(a: Tensor, other, fn, grads):
     b = _as_tensor(other)
-    if a.shape != b.shape and a.size != 1 and b.size != 1:
+    # a size-1 operand of higher rank would lift the other to a shape neither
+    # has, and that operand's gradient could not be folded back to its shape
+    if a.shape != b.shape and (a.size != 1 and b.size != 1 or
+                               np.broadcast_shapes(a.shape, b.shape) not in (a.shape, b.shape)):
         raise DimensionError(
             f"elementwise op needs equal or scalar shapes, got {a.shape} and {b.shape}"
         )

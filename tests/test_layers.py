@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gradcheck import assert_gradients_match
-from metroflow.errors import ConfigError, DimensionError, UsageError
+from metroflow.errors import ConfigError, DimensionError, NumericError, UsageError
 from metroflow.layers import AttentionHead, Conv1d, Dense, LstmCell, glorot_uniform
-from metroflow.tensor import Tensor
+from metroflow.tensor import Tensor, softmax
 
 
 def make_rng(seed=0):
@@ -331,6 +331,46 @@ class TestAttention:
 
         arrays = [head.W_Q.data.copy(), head.W_K.data.copy(), head.W_V.data.copy(), h]
         assert_gradients_match(fn, arrays)
+
+    def test_matches_op_chain(self):
+        head = AttentionHead(5, 4, make_rng(13))
+        h = make_rng(14).uniform(-2, 2, (3, 6, 5))
+        upstream = Tensor(make_rng(15).normal(size=(3, 6, 4)))
+
+        def leaves():
+            weights = [Tensor(w.data.copy(), requires_grad=True)
+                       for w in (head.W_Q, head.W_K, head.W_V)]
+            return [Tensor(h.copy(), requires_grad=True)] + weights
+
+        node = leaves()
+        head.W_Q, head.W_K, head.W_V = node[1:]
+        out = head(node[0])
+        (out * upstream).sum().backward()
+
+        chain = leaves()
+        x, wq, wk, wv = chain
+        scores = (x @ wq) @ (x @ wk).transpose((0, 2, 1)) * (1.0 / np.sqrt(4))
+        reference = softmax(scores, axis=-1) @ (x @ wv)
+        (reference * upstream).sum().backward()
+
+        np.testing.assert_allclose(out.data, reference.data, rtol=0, atol=1e-12)
+        for a, b in zip(node, chain):
+            np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
+
+    def test_one_node(self):
+        head = AttentionHead(3, 2, make_rng(16))
+        h = Tensor(np.ones((2, 4, 3)))
+        out = head(h)
+        assert out._parents == (h, head.W_Q, head.W_K, head.W_V)
+        out.sum().backward()
+        assert h.grad is None
+
+    def test_nan_input_raises_numeric_error(self):
+        head = AttentionHead(3, 2, make_rng(17))
+        h = make_rng(18).uniform(-1, 1, (2, 4, 3))
+        h[1, 2, 0] = np.nan
+        with pytest.raises(NumericError):
+            head(Tensor(h))
 
 
 class TestDense:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from gradcheck import assert_gradients_match
 from metroflow.errors import CompatibilityError, ConfigError, DimensionError
 from metroflow.models import KINDS, ForecastModel, ModelSpec, build_model
-from metroflow.tensor import Tensor
+from metroflow.tensor import Tensor, concat, no_grad
 from metroflow.training import mse_loss
 
 
@@ -121,6 +122,63 @@ class TestForward:
         assert np.isfinite(preds).all()
 
 
+class TestMultiScale:
+    """``_multi_scale`` is one node; the ``Conv1d`` branches are its reference."""
+
+    @pytest.mark.parametrize("batch", [3, 32])
+    @pytest.mark.parametrize("kernels", [(3, 5, 7), (1, 5)])
+    def test_matches_branch_chain(self, batch, kernels):
+        model = build_model(small_spec("cnn_attention", kernel_sizes=kernels, seed=15))
+        rng = np.random.default_rng(16)
+        for conv in model.convs:
+            conv.b.data[...] = rng.normal(size=conv.b.shape)
+        x = rng.normal(size=(batch, 8, 5))
+        upstream = Tensor(rng.normal(size=(batch, 8, 4 * len(kernels))))
+
+        def run(build):
+            params = [Tensor(p.data.copy(), requires_grad=True)
+                      for conv in model.convs for p in (conv.W, conv.b)]
+            for conv, w, b in zip(model.convs, params[::2], params[1::2]):
+                conv.W, conv.b = w, b
+            xv = Tensor(x.copy(), requires_grad=True)
+            out = build(xv)
+            (out * upstream).sum().backward()
+            return out.data, [xv.grad] + [p.grad for p in params]
+
+        out, grads = run(model._multi_scale)
+        ref, ref_grads = run(lambda xv: concat([conv(xv).relu() for conv in model.convs],
+                                               axis=-1))
+        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
+        for a, b in zip(grads, ref_grads):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    def test_gradients(self):
+        model = build_model(small_spec("cnn_attention", kernel_sizes=(1, 3), conv_filters=2,
+                                       seed=17))
+        rng = np.random.default_rng(18)
+        x = rng.uniform(-1, 1, (2, 8, 5))
+        weights = Tensor(rng.normal(size=(2, 8, 4)))
+        arrays = [x]
+        for conv in model.convs:
+            arrays += [conv.W.data.copy(), rng.normal(size=conv.b.shape)]
+
+        def fn(xv, *params):
+            for conv, w, b in zip(model.convs, params[::2], params[1::2]):
+                conv.W, conv.b = w, b
+            out = model._multi_scale(xv)
+            return (out * out * weights).sum()
+
+        assert_gradients_match(fn, arrays)
+
+    def test_one_node(self):
+        model = build_model(small_spec("mstim"))
+        x = Tensor(np.ones((2, 8, 5)))
+        out = model._multi_scale(x)
+        assert out._parents == (x,) + tuple(p for conv in model.convs for p in (conv.W, conv.b))
+        out.sum().backward()
+        assert x.grad is None
+
+
 class TestBatch:
     @pytest.mark.parametrize("kind", KINDS)
     def test_batch_matches_loop(self, kind):
@@ -148,6 +206,19 @@ class TestBatch:
         np.testing.assert_allclose(shuffled, base[perm], atol=1e-12)
 
     @pytest.mark.parametrize("kind", KINDS)
+    def test_grad_no_grad_and_predict_bit_identical(self, kind):
+        model = build_model(ModelSpec(kind=kind, input_features=5, seed=22))
+        rng = np.random.default_rng(23)
+        for batch in (1, 32, 256):
+            windows = rng.standard_normal((batch, 24, 5))
+            recorded = model.forward_batch(Tensor(windows))
+            assert recorded.requires_grad
+            with no_grad():
+                plain = model.forward_batch(Tensor(windows)).data
+            assert (recorded.data == plain).all()
+            assert (model.predict(windows) == plain).all()
+
+    @pytest.mark.parametrize("kind", KINDS)
     def test_seed_determinism_end_to_end(self, kind):
         rng = np.random.default_rng(13)
         windows = rng.standard_normal((4, 8, 5))
@@ -168,7 +239,7 @@ class TestBatch:
             if id(node) not in seen:
                 seen.add(id(node))
                 todo.extend(node._parents)
-        assert len(seen) == 46
+        assert len(seen) == 32
 
 
 class TestCheckpoint:

@@ -76,6 +76,16 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             Tensor(np.zeros(3)) + Tensor(np.zeros(4))
 
+    def test_size_one_operand_of_higher_rank_rejected(self):
+        # [1, 1] * [3] would give [1, 3], whose gradient cannot fold back to [3]
+        one = Tensor(np.ones((1, 1)), requires_grad=True)
+        row = Tensor(np.arange(3.0), requires_grad=True)
+        for a, b in ((one, row), (row, one)):
+            with pytest.raises(DimensionError):
+                a * b
+        out = Tensor(np.ones(1), requires_grad=True) * Tensor(np.ones((1, 1)), requires_grad=True)
+        assert out.shape == (1, 1)
+
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "tanh", "sigmoid", "relu"])
     def test_gradients_random(self, op):
         rng = np.random.default_rng(zlib.crc32(op.encode()))

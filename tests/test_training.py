@@ -7,6 +7,10 @@ must descend.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +260,45 @@ class TestTrainLoop:
                               sort_keys=True)
                    for data in (bundle, materialized)]
         assert reports[0] == reports[1]
+
+
+#: 30 Adam steps of mstim at the paper's shapes; prints a digest of the weight bytes.
+ADAM_RUN = """
+import hashlib
+import numpy as np
+from metroflow import ModelSpec, Tensor, build_model
+from metroflow.training import Adam, clip_grad_norm, mse_loss
+
+model = build_model(ModelSpec(kind="mstim", input_features=21, seed=4))
+params = model.parameters()
+optimizer = Adam(params)
+rng = np.random.default_rng(5)
+for _ in range(30):
+    loss = mse_loss(model.forward_batch(Tensor(rng.standard_normal((32, 24, 21)))),
+                    Tensor(rng.standard_normal((32, 1))))
+    loss.backward()
+    clip_grad_norm(params, 5.0)
+    optimizer.step()
+digest = hashlib.sha256()
+for name in sorted(params):
+    digest.update(params[name].data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_weights_independent_of_blas_threads():
+    """One and two BLAS threads train mstim to the same weight bytes, so the
+    program needs no thread default."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-c", ADAM_RUN], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 class TestCompare:
