@@ -6,10 +6,12 @@ and ``AttentionHead`` take windows [B, n, channels]; ``Dense`` and
 ``step``.  Any other rank or channel width is a DimensionError; one
 window is a batch of one.
 
-``Conv1d``, ``LstmCell.unroll`` and ``AttentionHead`` each run in numpy as
-one graph node with a hand-written backward, as does the multi-scale conv
-stack of ``models.ForecastModel._multi_scale``; the engine ops of ``step``
-and ``Conv1d`` are their references in the tests.
+``conv_stack``, ``LstmCell.unroll`` and ``AttentionHead`` each run in
+numpy as one graph node with a hand-written backward.  ``conv_stack`` is
+the one convolution rule: ``Conv1d`` calls it for one conv, and
+``models.ForecastModel._multi_scale`` for the ReLU branches of the
+multi-scale stage.  ``step`` is built from engine ops and is the reference
+for ``unroll`` in the tests.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, NumericError, UsageError
 from .tensor import Tensor, _accum, concat, records
@@ -56,16 +59,67 @@ class Dense:
         return {"W": self.W, "b": self.b}
 
 
+def conv_stack(x: Tensor, convs, relu: bool) -> Tensor:
+    """Parallel ``Conv1d`` layers over one input, concatenated over channels.
+
+    One graph node whose parents are the input and each conv's W and b,
+    read at call time.  The convs become one "same" convolution of width
+    K = max(kernel sizes): tap j of a conv of width k lands at tap
+    j + (K - k) / 2 of combined weights [K, in, total out channels] that
+    are zero elsewhere.  The forward pads the input once and sums K
+    per-tap matmuls in tap order, adding the biases last, so it makes no
+    unfolded copy of the input; with ``relu`` each output goes through a
+    ReLU.  The backward unfolds the padded input into [B * n, K * in] and
+    gets every weight gradient from one matmul, and skips the input
+    gradient when the input needs none, as for raw windows.
+    """
+    data = x.data
+    batch, n, width = data.shape
+    K = max(conv.kernel_size for conv in convs)
+    pad = (K - 1) // 2
+    # each conv's (taps, output channels) block of the combined weights
+    ends = np.cumsum([conv.out_channels for conv in convs])
+    blocks = [(slice((K - conv.kernel_size) // 2, (K + conv.kernel_size) // 2),
+               slice(end - conv.out_channels, end)) for conv, end in zip(convs, ends)]
+    taps = np.zeros((K, width, ends[-1]))
+    for conv, (rows, cols) in zip(convs, blocks):
+        taps[rows, :, cols] = conv.W.data.transpose(2, 1, 0)
+    parents = (x,) + tuple(p for conv in convs for p in (conv.W, conv.b))
+    xp = np.pad(data, ((0, 0), (pad, pad), (0, 0)))
+    y = xp[:, :n] @ taps[0]
+    for j in range(1, K):
+        y += xp[:, j:j + n] @ taps[j]
+    y += np.concatenate([conv.b.data for conv in convs])
+    if relu:
+        np.maximum(y, 0.0, out=y)
+
+    def backward(g):
+        dy = (g * (y > 0.0) if relu else g).reshape(batch * n, -1)
+        unfolded = sliding_window_view(xp, K, axis=1)  # [B, n, in, K] view of xp
+        unfolded = unfolded.transpose(0, 1, 3, 2).reshape(batch * n, K * width)
+        dtaps = (unfolded.T @ dy).reshape(K, width, -1)
+        db = dy.sum(axis=0)
+        for conv, (rows, cols) in zip(convs, blocks):
+            if conv.W.requires_grad:
+                _accum(conv.W, dtaps[rows, :, cols].transpose(2, 1, 0))
+            if conv.b.requires_grad:
+                _accum(conv.b, db[cols])
+        if x.requires_grad:
+            dy3 = dy.reshape(batch, n, -1)
+            dxp = np.zeros(xp.shape)
+            for j in range(K):
+                dxp[:, j:j + n] += dy3 @ taps[j].T
+            _accum(x, dxp[:, pad:pad + n])
+
+    return Tensor._from_op(y, parents, backward)
+
+
 class Conv1d:
     """1-D cross-correlation over time with symmetric zero "same" padding.
 
     Output length equals input length; the kernel size must be odd so the
-    padding is (k-1)/2 on each side.  A call is one graph node with parents
-    (input, W, b), read at call time.  The forward sums
-    ``xp[:, j:j + n] @ W[:, :, j].T`` over taps j = 0..k-1 in order and adds
-    ``b`` last, so its outputs are bit-identical to the same sum built from
-    engine ops, and it makes no unfolded copy of the input.  The backward
-    skips the input gradient when the input needs none, as for raw windows.
+    padding is (k-1)/2 on each side.  A call is ``conv_stack`` of this conv
+    alone, without a ReLU: one graph node with parents (input, W, b).
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
@@ -81,28 +135,7 @@ class Conv1d:
 
     def __call__(self, x: Tensor) -> Tensor:
         _check_batch(x, self.in_channels, "conv1d")
-        W, b, n, k = self.W, self.b, x.shape[1], self.kernel_size
-        pad = (k - 1) // 2
-        xp = np.pad(x.data, ((0, 0), (pad, pad), (0, 0)))
-        taps = W.data.transpose(2, 1, 0)  # [k, in, out]
-        y = xp[:, :n] @ taps[0]
-        for j in range(1, k):
-            y += xp[:, j:j + n] @ taps[j]
-        y += b.data
-
-        def backward(g):
-            if W.requires_grad:
-                _accum(W, np.stack([np.tensordot(xp[:, j:j + n], g, axes=([0, 1], [0, 1])).T
-                                    for j in range(k)], axis=2))
-            if b.requires_grad:
-                _accum(b, g.sum(axis=(0, 1)))
-            if x.requires_grad:
-                dxp = np.zeros(xp.shape)
-                for j in range(k):
-                    dxp[:, j:j + n] += g @ taps[j].T
-                _accum(x, dxp[:, pad:pad + n])
-
-        return Tensor._from_op(y, (x, W, b), backward)
+        return conv_stack(x, (self,), relu=False)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"W": self.W, "b": self.b}

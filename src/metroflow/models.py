@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import CompatibilityError, ConfigError, DimensionError, SchemaError
-from .layers import AttentionHead, Conv1d, Dense, LstmCell
+from .errors import CompatibilityError, ConfigError, DimensionError, NumericError, SchemaError
+from .layers import AttentionHead, Conv1d, Dense, LstmCell, conv_stack
 from .serialize import read_blob, write_blob
-from .tensor import Tensor, _accum, no_grad
+from .tensor import Tensor, no_grad
 
 #: Each kind's stages in forward order; the head reads the last stage's width.
 STAGES = {
@@ -120,55 +119,10 @@ class ForecastModel:
         return dict(self._params)
 
     def _multi_scale(self, x3: Tensor) -> Tensor:
-        """The conv branches, each with its ReLU, concatenated over channels.
-
-        One graph node whose parents are the input and each branch's W and
-        b, read at call time.  The branches become one "same" convolution of
-        width K = max(kernel_sizes): tap j of a branch of width k lands at tap
-        j + (K - k) / 2 of combined weights [K, in, branches * filters] that
-        are zero elsewhere.  The forward pads the input once and sums K
-        per-tap matmuls, so it makes no unfolded copy of the input; the
-        backward unfolds the padded input into [B * n, K * in] and gets every
-        weight gradient from one matmul.  ``Conv1d.__call__`` is the
-        per-branch reference.
-        """
-        convs, x = self.convs, x3.data
-        batch, n, width = x.shape
-        K, F = max(conv.kernel_size for conv in convs), self.spec.conv_filters
-        pad = (K - 1) // 2
-        # each branch's (taps, output channels) block of the combined weights
-        blocks = [(slice((K - conv.kernel_size) // 2, (K + conv.kernel_size) // 2),
-                   slice(j * F, (j + 1) * F)) for j, conv in enumerate(convs)]
-        taps = np.zeros((K, width, len(convs) * F))
-        for conv, (rows, cols) in zip(convs, blocks):
-            taps[rows, :, cols] = conv.W.data.transpose(2, 1, 0)
-        parents = (x3,) + tuple(p for conv in convs for p in (conv.W, conv.b))
-        xp = np.pad(x, ((0, 0), (pad, pad), (0, 0)))
-        y = xp[:, :n] @ taps[0]
-        for j in range(1, K):
-            y += xp[:, j:j + n] @ taps[j]
-        y += np.concatenate([conv.b.data for conv in convs])
-        np.maximum(y, 0.0, out=y)
-
-        def backward(g):
-            dy = (g * (y > 0.0)).reshape(batch * n, -1)
-            unfolded = sliding_window_view(xp, K, axis=1)  # [B, n, in, K] view of xp
-            unfolded = unfolded.transpose(0, 1, 3, 2).reshape(batch * n, K * width)
-            dtaps = (unfolded.T @ dy).reshape(K, width, -1)
-            db = dy.sum(axis=0)
-            for conv, (rows, cols) in zip(convs, blocks):
-                if conv.W.requires_grad:
-                    _accum(conv.W, dtaps[rows, :, cols].transpose(2, 1, 0))
-                if conv.b.requires_grad:
-                    _accum(conv.b, db[cols])
-            if x3.requires_grad:
-                dy3 = dy.reshape(batch, n, -1)
-                dxp = np.zeros(xp.shape)
-                for j in range(K):
-                    dxp[:, j:j + n] += dy3 @ taps[j].T
-                _accum(x3, dxp[:, pad:pad + n])
-
-        return Tensor._from_op(y, parents, backward)
+        """The conv branches, each with its ReLU, concatenated over channels:
+        one ``layers.conv_stack`` node.  perfbench's ``layers.conv`` span and
+        its replays call this method by name."""
+        return conv_stack(x3, self.convs, relu=True)
 
     def forward_batch(self, windows) -> Tensor:
         """Forecast a batch [B, n, d]; row i equals the one-row batch windows[i:i+1]."""
@@ -189,13 +143,17 @@ class ForecastModel:
         return self.head(pooled)
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
-        """Inference without graph construction, in chunks of ``PREDICT_BATCH``."""
+        """Inference without graph construction, in chunks of ``PREDICT_BATCH``;
+        a non-finite forecast is a NumericError, never an inf or nan row."""
         chunks = []
-        with no_grad():
+        with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(windows), PREDICT_BATCH):
                 chunk = windows[start:start + PREDICT_BATCH]
                 chunks.append(self.forward_batch(Tensor(chunk)).data)
-        return np.concatenate(chunks, axis=0) if chunks else np.zeros((0, self.spec.horizon))
+        preds = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, self.spec.horizon))
+        if not np.isfinite(preds).all():
+            raise NumericError("model outputs are not finite; the weights may have diverged")
+        return preds
 
     # -- checkpointing ------------------------------------------------------
 

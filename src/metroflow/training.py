@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import SPLITS
 from .errors import ConfigError, DimensionError, NumericError, UsageError
 from .models import ForecastModel, ModelSpec, _is_int, build_model, check_seed
 from .tensor import Tensor
@@ -107,9 +108,12 @@ def metrics(pred, target) -> MetricTriple:
         raise DimensionError(f"metric inputs differ in length: {pred.shape} vs {target.shape}")
     if pred.size == 0:
         raise UsageError("metrics need at least one sample")
-    err = pred - target
-    mae = float(np.abs(err).mean())
-    mse = float((err * err).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = pred - target
+        mae = float(np.abs(err).mean())
+        mse = float((err * err).mean())
+    if not (math.isfinite(mae) and math.isfinite(mse)):
+        raise NumericError(f"metrics are not finite: mae={mae} mse={mse}")
     return MetricTriple(mae=mae, mse=mse, rmse=float(np.sqrt(mse)))
 
 
@@ -187,8 +191,9 @@ def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
     ``datasets`` needs train/val/test splits exposing row-indexable windows
     (a ``data.Windows`` view or an [N, n, d] array) and ``targets`` [N, T].
     The last short batch of each epoch is trained on, validation is reported
-    per epoch, test metrics once at the end.  A non-finite loss aborts with
-    the epoch, batch and loss value.
+    per epoch, test metrics once at the end.  An empty split fails before
+    the first step.  A non-finite loss aborts with the epoch, batch and loss
+    value; a non-finite prediction or metric is a NumericError.
     """
     config.validate()
     started = time.perf_counter()
@@ -198,9 +203,10 @@ def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
     tr = datasets.train
     report = TrainReport(model_kind=model.spec.kind, seed=config.seed, config=config.to_dict())
 
+    for split in SPLITS:
+        if len(getattr(datasets, split).windows) == 0:
+            raise UsageError(f"{split} split is empty")
     count = len(tr.windows)
-    if count == 0:
-        raise UsageError("training split is empty")
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(count) if config.shuffle else np.arange(count)
         loss_sum = 0.0

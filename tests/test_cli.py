@@ -153,6 +153,26 @@ class TestTrain:
         assert err == "error: seed must be a non-negative int, got -1\n"
         assert not list(tmp_path.iterdir())
 
+    def test_diverged_weights_exit_one_without_artifacts(self, workspace, tmp_path, capsys):
+        # one Adam step at lr 1e300 leaves weights whose validation forecasts overflow
+        out = tmp_path / "out"
+        code = run("train", "--model", "lstm_cnn", "--out", out, "--data",
+                   workspace["out"] / "dataset.bin", *SMALL, "--batch", "5000", "--lr", "1e300")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: metrics are not finite") and "Traceback" not in err
+        assert not (out / "model_lstm_cnn.bin").exists()
+        assert not (out / "train_report_lstm_cnn.json").exists()
+
+    def test_empty_val_split_exit_two_before_training(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run("prepare", "--csv", write_csv(tmp_path / "t.csv", hours=220),
+                   "--out", out) == 0
+        assert "train=130 val=0 test=20" in capsys.readouterr().out
+        assert run("train", "--model", "lstm_cnn", "--out", out, *SMALL) == 2
+        assert capsys.readouterr().err == "error: val split is empty\n"
+        assert not (out / "model_lstm_cnn.bin").exists()
+
     def test_runtime_failure_exit_one(self, workspace, tmp_path, monkeypatch):
         from metroflow.errors import NumericError
 

@@ -231,12 +231,17 @@ class TestConv1d:
         assert_gradients_match(fn, [conv.W.data.copy(), conv.b.data.copy(), x])
 
     @staticmethod
-    def loop_reference(x, w, b):
-        """Explicit loops over batch, time, output channel and tap."""
+    def loop_reference(x, w, b, g, relu=False):
+        """Explicit loops over batch, time, output channel and tap.
+
+        Returns the output, with a ReLU when ``relu``, and the gradients of
+        ``sum(output * g)`` by x, w and b.
+        """
         batch, n, _ = x.shape
         out_channels, _, k = w.shape
         pad = (k - 1) // 2
         y = np.empty((batch, n, out_channels))
+        dx, dw, db = np.zeros(x.shape), np.zeros(w.shape), np.zeros(b.shape)
         for s in range(batch):
             for t in range(n):
                 for o in range(out_channels):
@@ -244,16 +249,27 @@ class TestConv1d:
                     for j in range(k):
                         if 0 <= t + j - pad < n:
                             total += w[o, :, j] @ x[s, t + j - pad]
-                    y[s, t, o] = total
-        return y
+                    active = total > 0.0 or not relu
+                    y[s, t, o] = total if active else 0.0
+                    d = g[s, t, o] if active else 0.0
+                    db[o] += d
+                    for j in range(k):
+                        if 0 <= t + j - pad < n:
+                            dw[o, :, j] += d * x[s, t + j - pad]
+                            dx[s, t + j - pad] += d * w[o, :, j]
+        return y, dx, dw, db
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_matches_loop_reference(self, k):
         conv = Conv1d(3, 4, k, make_rng(30 + k))
         conv.b.data[...] = make_rng(40 + k).normal(size=4)
-        x = make_rng(50 + k).uniform(-1, 1, (3, 9, 3))
-        expected = self.loop_reference(x, conv.W.data, conv.b.data)
-        np.testing.assert_allclose(conv(Tensor(x)).data, expected, rtol=0, atol=1e-12)
+        x = Tensor(make_rng(50 + k).uniform(-1, 1, (3, 9, 3)), requires_grad=True)
+        g = make_rng(60 + k).normal(size=(3, 9, 4))
+        out = conv(x)
+        (out * Tensor(g)).sum().backward()
+        expected = self.loop_reference(x.data, conv.W.data, conv.b.data, g)
+        for got, want in zip((out.data, x.grad, conv.W.grad, conv.b.grad), expected):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_batched_gradients(self, k):

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+import test_layers
 from gradcheck import assert_gradients_match
-from metroflow.errors import CompatibilityError, ConfigError, DimensionError
+from metroflow.errors import CompatibilityError, ConfigError, DimensionError, NumericError
 from metroflow.models import KINDS, ForecastModel, ModelSpec, build_model
-from metroflow.tensor import Tensor, concat, no_grad
+from metroflow.tensor import Tensor, no_grad
 from metroflow.training import mse_loss
+
+loop_reference = test_layers.TestConv1d.loop_reference
 
 
 def small_spec(kind, **overrides):
@@ -121,9 +124,18 @@ class TestForward:
         preds = model.predict(windows)
         assert np.isfinite(preds).all()
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_overflowing_outputs_raise_numeric_error(self, kind):
+        model = build_model(small_spec(kind, seed=5))
+        for p in model.parameters().values():
+            p.data[...] = 1e308
+        windows = np.random.default_rng(6).standard_normal((3, 8, 5))
+        with pytest.raises(NumericError, match="finite"):
+            model.predict(windows)
+
 
 class TestMultiScale:
-    """``_multi_scale`` is one node; the ``Conv1d`` branches are its reference."""
+    """``_multi_scale`` is one node; the explicit-loop conv is its reference, branch by branch."""
 
     @pytest.mark.parametrize("batch", [3, 32])
     @pytest.mark.parametrize("kernels", [(3, 5, 7), (1, 5)])
@@ -132,25 +144,19 @@ class TestMultiScale:
         rng = np.random.default_rng(16)
         for conv in model.convs:
             conv.b.data[...] = rng.normal(size=conv.b.shape)
-        x = rng.normal(size=(batch, 8, 5))
-        upstream = Tensor(rng.normal(size=(batch, 8, 4 * len(kernels))))
-
-        def run(build):
-            params = [Tensor(p.data.copy(), requires_grad=True)
-                      for conv in model.convs for p in (conv.W, conv.b)]
-            for conv, w, b in zip(model.convs, params[::2], params[1::2]):
-                conv.W, conv.b = w, b
-            xv = Tensor(x.copy(), requires_grad=True)
-            out = build(xv)
-            (out * upstream).sum().backward()
-            return out.data, [xv.grad] + [p.grad for p in params]
-
-        out, grads = run(model._multi_scale)
-        ref, ref_grads = run(lambda xv: concat([conv(xv).relu() for conv in model.convs],
-                                               axis=-1))
-        np.testing.assert_allclose(out, ref, rtol=0, atol=1e-12)
-        for a, b in zip(grads, ref_grads):
-            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        x = Tensor(rng.normal(size=(batch, 8, 5)), requires_grad=True)
+        upstream = rng.normal(size=(batch, 8, 4 * len(kernels)))
+        out = model._multi_scale(x)
+        (out * Tensor(upstream)).sum().backward()
+        dx = np.zeros(x.shape)
+        for j, conv in enumerate(model.convs):
+            cols = slice(4 * j, 4 * (j + 1))
+            y, dxj, dw, db = loop_reference(x.data, conv.W.data, conv.b.data,
+                                            upstream[..., cols], relu=True)
+            for got, want in ((out.data[..., cols], y), (conv.W.grad, dw), (conv.b.grad, db)):
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            dx += dxj
+        np.testing.assert_allclose(x.grad, dx, rtol=0, atol=1e-12)
 
     def test_gradients(self):
         model = build_model(small_spec("cnn_attention", kernel_sizes=(1, 3), conv_filters=2,

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from types import SimpleNamespace
 
-from metroflow.data import EncodedSeries, Windows, split_and_window
+from metroflow.data import SPLITS, EncodedSeries, Windows, split_and_window
 from metroflow.errors import ConfigError, DimensionError, NumericError, UsageError
 from metroflow.models import ModelSpec, build_model
 from metroflow.tensor import Tensor
@@ -76,6 +76,10 @@ class TestMetrics:
     def test_empty_rejected(self):
         with pytest.raises(UsageError):
             metrics([], [])
+
+    def test_overflow_rejected(self):
+        with pytest.raises(NumericError, match="not finite"):
+            metrics([1e200], [0.0])
 
     def test_identities_bulk(self):
         # RMSE^2 == MSE and MAE <= RMSE over many random pairs
@@ -218,11 +222,15 @@ class TestTrainLoop:
         report = train(model, data, TrainConfig(epochs=1, batch_size=4, seed=0))
         assert np.isfinite(report.epochs[0]["train_loss"])
 
-    def test_empty_split_rejected(self):
-        data = toy_datasets(n_train=0)
-        with pytest.raises(UsageError):
-            train(build_model(small_spec("lstm_attention")), data,
-                  TrainConfig(epochs=1))
+    @pytest.mark.parametrize("split", SPLITS)
+    def test_empty_split_rejected(self, split):
+        data = toy_datasets(**{f"n_{split}": 0})
+        model = build_model(small_spec("lstm_attention"))
+        before = {name: p.data.copy() for name, p in model.parameters().items()}
+        with pytest.raises(UsageError, match=f"^{split} split is empty$"):
+            train(model, data, TrainConfig(epochs=1))
+        for name, p in model.parameters().items():
+            assert (p.data == before[name]).all(), f"{name} changed before the check"
 
     def test_nonfinite_loss_aborts(self):
         data = toy_datasets()
