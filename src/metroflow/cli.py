@@ -37,7 +37,7 @@ from .errors import (
 from .models import KINDS, ForecastModel, ModelSpec, build_model
 from .plot import line_chart
 from .serialize import atomic_write
-from .training import OPTIMIZERS, TrainConfig, compare, metrics, train
+from .training import TrainConfig, compare, metrics, train
 
 DEFAULT_OUT = "metroflow_out"
 DATASET_FILE = "dataset.bin"
@@ -45,7 +45,7 @@ DATASET_FILE = "dataset.bin"
 #: Settings passed through to TrainConfig and ModelSpec (``seed`` feeds both).
 #: Their defaults, and those of prepare's window and horizon, are the
 #: dataclass field defaults.
-TRAIN_KEYS = ("epochs", "learning_rate", "batch_size", "optimizer", "seed")
+TRAIN_KEYS = ("epochs", "learning_rate", "batch_size", "seed")
 SPEC_KEYS = ("hidden_size", "conv_filters", "d_k", "seed")
 
 DEFAULTS = {
@@ -63,7 +63,7 @@ SETTING_TYPES = {
     **dict.fromkeys(("out", "csv", "data", "checkpoint", "from_ts", "to_ts"), str),
 }
 
-_CHOICES = {"model": KINDS, "optimizer": tuple(OPTIMIZERS), "split": SPLITS}
+_CHOICES = {"model": KINDS, "split": SPLITS}
 
 
 def _check_type(key: str, value) -> None:
@@ -341,7 +341,6 @@ def _training_flags(sub: argparse.ArgumentParser) -> None:
     _setting(sub, "--lr", "learning_rate", "learning rate")
     _setting(sub, "--batch", "batch_size", "mini-batch size")
     _setting(sub, "--seed", "seed", "seed for weights and shuffling")
-    _setting(sub, "--optimizer", "optimizer")
     _setting(sub, "--hidden-size", "hidden_size")
     _setting(sub, "--conv-filters", "conv_filters")
     _setting(sub, "--d-k", "d_k")

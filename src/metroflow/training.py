@@ -1,4 +1,8 @@
-"""Mini-batch training loop, optimizers, loss, metrics and model comparison."""
+"""Mini-batch training loop, the Adam optimizer, loss, metrics and model comparison.
+
+One recipe trains every model: Adam, a global gradient-norm clip at
+``GRAD_CLIP`` and mini-batches shuffled every epoch.
+"""
 
 from __future__ import annotations
 
@@ -24,6 +28,9 @@ PUBLISHED_REFERENCE = {
     "mstim": {"mae": 0.2120, "mse": 0.1048, "rmse": 0.3237},
 }
 
+#: Global L2 norm the gradients are clipped to before every optimizer step.
+GRAD_CLIP = 5.0
+
 REFERENCE_NOTE = (
     "Published reference values are shown for side-by-side context only; "
     "absolute agreement is not asserted because the published experiments' "
@@ -36,31 +43,23 @@ class TrainConfig:
     epochs: int = 10
     learning_rate: float = 0.001
     batch_size: int = 32
-    optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    grad_clip: float = 5.0
     seed: int = 0
-    shuffle: bool = True
 
     def validate(self) -> None:
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ConfigError(f"{name} must be a positive int, got {value!r}")
-        for name in ("learning_rate", "eps", "grad_clip"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0 < value < math.inf):  # NaN fails both comparisons
-                raise ConfigError(f"{name} must be a positive finite number, got {value!r}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {', '.join(OPTIMIZERS)}, "
-                              f"got {self.optimizer!r}")
+        lr = self.learning_rate
+        if (isinstance(lr, bool) or not isinstance(lr, (int, float))
+                or not 0 < lr < math.inf):  # NaN fails both comparisons
+            raise ConfigError(f"learning_rate must be a positive finite number, got {lr!r}")
         check_seed(self.seed)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The settings plus the fixed recipe, so a report says how it was trained."""
+        return {**asdict(self), "optimizer": "adam", "beta1": Adam.beta1,
+                "beta2": Adam.beta2, "eps": Adam.eps, "grad_clip": GRAD_CLIP, "shuffle": True}
 
 
 @dataclass(frozen=True)
@@ -120,15 +119,14 @@ def metrics(pred, target) -> MetricTriple:
 class Adam:
     """Bias-corrected adaptive moment optimizer over a parameter registry."""
 
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
     def __init__(self, params: dict[str, Tensor],
-                 learning_rate: float = TrainConfig.learning_rate,
-                 beta1: float = TrainConfig.beta1, beta2: float = TrainConfig.beta2,
-                 eps: float = TrainConfig.eps):
+                 learning_rate: float = TrainConfig.learning_rate):
         self.params = params
         self.lr = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
@@ -146,28 +144,6 @@ class Adam:
             v_hat = self.v[name] / (1 - b2 ** self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
             p.grad = None
-
-
-class Sgd:
-    """Plain gradient descent; same step/zero contract as Adam."""
-
-    def __init__(self, params: dict[str, Tensor],
-                 learning_rate: float = TrainConfig.learning_rate):
-        self.params = params
-        self.lr = learning_rate
-
-    def step(self) -> None:
-        for p in self.params.values():
-            if p.grad is not None:
-                p.data -= self.lr * p.grad
-                p.grad = None
-
-
-#: Optimizer name -> constructor from a parameter registry and a TrainConfig.
-OPTIMIZERS = {
-    "adam": lambda params, c: Adam(params, c.learning_rate, c.beta1, c.beta2, c.eps),
-    "sgd": lambda params, c: Sgd(params, c.learning_rate),
-}
 
 
 def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
@@ -193,13 +169,15 @@ def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
     The last short batch of each epoch is trained on, validation is reported
     per epoch, test metrics once at the end.  An empty split fails before
     the first step.  A non-finite loss aborts with the epoch, batch and loss
-    value; a non-finite prediction or metric is a NumericError.
+    value; a non-finite prediction or metric is a NumericError.  Steps run
+    with numpy's overflow and invalid warnings off, so weights that diverge
+    mid-epoch end in that error and not in a RuntimeWarning.
     """
     config.validate()
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
-    optimizer = OPTIMIZERS[config.optimizer](model.parameters(), config)
     params = model.parameters()
+    optimizer = Adam(params, config.learning_rate)
     tr = datasets.train
     report = TrainReport(model_kind=model.spec.kind, seed=config.seed, config=config.to_dict())
 
@@ -208,21 +186,22 @@ def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
             raise UsageError(f"{split} split is empty")
     count = len(tr.windows)
     for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(count) if config.shuffle else np.arange(count)
+        order = rng.permutation(count)
         loss_sum = 0.0
-        for batch_index, start in enumerate(range(0, count, config.batch_size)):
-            rows = order[start:start + config.batch_size]
-            pred = model.forward_batch(Tensor(tr.windows[rows]))
-            loss = mse_loss(pred, Tensor(tr.targets[rows]))
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError(
-                    f"non-finite loss {value} at epoch {epoch}, batch {batch_index}"
-                )
-            loss.backward()
-            clip_grad_norm(params, config.grad_clip)
-            optimizer.step()
-            loss_sum += value * len(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for batch_index, start in enumerate(range(0, count, config.batch_size)):
+                rows = order[start:start + config.batch_size]
+                pred = model.forward_batch(Tensor(tr.windows[rows]))
+                loss = mse_loss(pred, Tensor(tr.targets[rows]))
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise NumericError(
+                        f"non-finite loss {value} at epoch {epoch}, batch {batch_index}"
+                    )
+                loss.backward()
+                clip_grad_norm(params, GRAD_CLIP)
+                optimizer.step()
+                loss_sum += value * len(rows)
         val = metrics(model.predict(datasets.val.windows), datasets.val.targets)
         report.epochs.append({
             "epoch": epoch,
@@ -247,11 +226,10 @@ class ComparisonRow:
 class ComparisonResult:
     rows: list  # ComparisonRow, sorted by our MAE
     reports: dict  # kind -> TrainReport
-    note: str = REFERENCE_NOTE
 
     def to_dict(self) -> dict:
         return {
-            "note": self.note,
+            "note": REFERENCE_NOTE,
             "rows": [
                 {"model": r.kind, "ours": r.ours.to_dict(), "reference": r.reference}
                 for r in self.rows

@@ -164,6 +164,18 @@ class TestTrain:
         assert not (out / "model_lstm_cnn.bin").exists()
         assert not (out / "train_report_lstm_cnn.json").exists()
 
+    def test_diverging_steps_exit_one_naming_the_batch(self, workspace, tmp_path, capsys):
+        # at batch 8 the weights overflow within the first epoch; the loss check
+        # names the batch rather than a RuntimeWarning escaping from a step
+        out = tmp_path / "out"
+        code = run("train", "--model", "lstm_cnn", "--out", out, "--data",
+                   workspace["out"] / "dataset.bin", *SMALL, "--batch", "8", "--lr", "1e300")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss") and err.count("\n") == 1
+        assert not (out / "model_lstm_cnn.bin").exists()
+        assert not (out / "train_report_lstm_cnn.json").exists()
+
     def test_empty_val_split_exit_two_before_training(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert run("prepare", "--csv", write_csv(tmp_path / "t.csv", hours=220),
@@ -200,20 +212,20 @@ class TestConfigFile:
         assert report["config"]["learning_rate"] == 0.001  # untouched default
 
     def test_unknown_key_exit_two(self, workspace, tmp_path, capsys):
-        cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"epoch": 3}))
-        assert run("train", "--model", "mstim", "--out", tmp_path,
-                   "--config", cfg) == 2
-        assert "epoch" in capsys.readouterr().err
+        # "optimizer" names the fixed recipe in train reports but is not a setting
+        for key, value in (("epoch", 3), ("optimizer", "adam")):
+            cfg = tmp_path / "bad.json"
+            cfg.write_text(json.dumps({key: value}))
+            assert run("train", "--model", "mstim", "--out", tmp_path,
+                       "--config", cfg) == 2
+            assert f"key {key!r} is not recognized" in capsys.readouterr().err
 
     @pytest.mark.parametrize("setting", [
         {"epochs": "ten"},
-        {"optimizer": "rmsprop"},
         {"split": "holdout"},
         {"model": "transformer"},
         {"epochs": True},
-    ], ids=["epochs-str", "optimizer-rmsprop", "split-holdout", "model-transformer",
-            "epochs-bool"])
+    ], ids=["epochs-str", "split-holdout", "model-transformer", "epochs-bool"])
     def test_wrong_type_exit_two(self, workspace, tmp_path, setting):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(setting))
@@ -523,7 +535,6 @@ SURFACE = {
     "learning_rate": ("--lr", float, 0.001, None),
     "batch_size": ("--batch", int, 32, None),
     "seed": ("--seed", int, 0, None),
-    "optimizer": ("--optimizer", str, "adam", ("adam", "sgd")),
     "plot": ("--plot", bool, False, None),
     "split": ("--split", str, "test", ("train", "val", "test")),
     "raw": ("--raw", bool, False, None),
@@ -568,6 +579,12 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             cli.main(["train", "--model", "transformer"])
         assert err.value.code == 2
+
+    def test_removed_optimizer_flag_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            cli.main(["train", "--optimizer", "sgd"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --optimizer sgd" in capsys.readouterr().err
 
     def test_installed_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "metroflow.cli", "--help"],
