@@ -225,7 +225,9 @@ class TestConfigFile:
         {"split": "holdout"},
         {"model": "transformer"},
         {"epochs": True},
-    ], ids=["epochs-str", "split-holdout", "model-transformer", "epochs-bool"])
+        {"optimizer": "rmsprop"},  # no longer a key: Adam is fixed, so it is refused
+    ], ids=["epochs-str", "split-holdout", "model-transformer", "epochs-bool",
+            "optimizer-rmsprop"])
     def test_wrong_type_exit_two(self, workspace, tmp_path, setting):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(setting))
