@@ -162,7 +162,7 @@ def load_compatible(checkpoint: Path, dataset: Path) -> tuple:
     bundle = load_cache(dataset)
     model, meta = ForecastModel.load(checkpoint)
     stored = meta.get("data_hash")
-    if stored is not None and stored != bundle.data_hash:
+    if stored != bundle.data_hash:
         raise CompatibilityError(
             f"checkpoint {checkpoint} was trained against a different prepared dataset than "
             f"{dataset} (stored hash {stored[:12]}…, dataset hash {bundle.data_hash[:12]}…)"

@@ -71,11 +71,6 @@ class ModelSpec:
         for k in self.kernel_sizes:
             if not _is_int(k) or k < 1 or k % 2 == 0:
                 raise ConfigError(f"kernel sizes must be positive odd ints, got {k!r}")
-        if self.window < max(self.kernel_sizes):
-            raise ConfigError(
-                f"window {self.window} is shorter than the largest kernel "
-                f"{max(self.kernel_sizes)}"
-            )
         check_seed(self.seed)
 
     def to_dict(self) -> dict:
@@ -157,7 +152,9 @@ class ForecastModel:
 
     # -- checkpointing ------------------------------------------------------
 
-    def save(self, path, data_hash: str | None = None) -> None:
+    def save(self, path, data_hash: str) -> None:
+        """Write the spec, the weights and the hash of the prepared dataset
+        they were trained on; ``load`` refuses a checkpoint without one."""
         arrays = {name: p.data for name, p in self._params.items()}
         meta = {"model_spec": self.spec.to_dict(), "data_hash": data_hash}
         write_blob(path, arrays, meta)
@@ -169,8 +166,8 @@ class ForecastModel:
             spec = ModelSpec.from_dict(meta.get("model_spec"))
         except (TypeError, ConfigError) as exc:
             raise SchemaError(f"{path} has no valid model_spec: {exc}") from exc
-        if not isinstance(meta.get("data_hash"), (str, type(None))):
-            raise SchemaError(f"{path} has a data_hash that is not a string")
+        if not isinstance(meta.get("data_hash"), str):
+            raise SchemaError(f"{path} has no data_hash string")
         model = cls(spec)
         stored = set(arrays)
         expected = set(model._params)

@@ -7,9 +7,9 @@ walks the graph once in reverse topological order, accumulates gradients
 additively across fan-out, then frees the graph.  A second ``backward()``
 on the same graph is rejected; rebuild the forward pass instead.
 
-Only two broadcasting forms are supported for elementwise arithmetic:
-equal shapes, and scalar-with-tensor where the result keeps one operand's
-shape.  Everything else is a DimensionError.
+One shape rule: elementwise arithmetic takes operands of equal shape,
+``matmul`` takes an [m, k] and a [k, n] matrix, and ``Tensor.expand`` is
+the only broadcast.  Anything else is a DimensionError naming both shapes.
 """
 
 from __future__ import annotations
@@ -242,31 +242,19 @@ def _accum(t: Tensor, g) -> None:
         t.grad += g
 
 
-def _reduce_to(g, shape) -> np.ndarray:
-    # g was broadcast from a size-1 operand; fold it back
-    if g.shape == shape:
-        return g
-    return np.asarray(g.sum()).reshape(shape)
-
-
 def _elementwise_binary(a: Tensor, other, fn, grads):
     b = _as_tensor(other)
-    # a size-1 operand of higher rank would lift the other to a shape neither
-    # has, and that operand's gradient could not be folded back to its shape
-    if a.shape != b.shape and (a.size != 1 and b.size != 1 or
-                               np.broadcast_shapes(a.shape, b.shape) not in (a.shape, b.shape)):
-        raise DimensionError(
-            f"elementwise op needs equal or scalar shapes, got {a.shape} and {b.shape}"
-        )
+    if a.shape != b.shape:
+        raise DimensionError(f"elementwise op needs equal shapes, got {a.shape} and {b.shape}")
     a_data, b_data = a.data, b.data
     out = fn(a_data, b_data)
 
     def backward(g):
         ga, gb = grads(g, a_data, b_data)
         if a.requires_grad:
-            _accum(a, _reduce_to(ga, a.shape))
+            _accum(a, ga)
         if b.requires_grad:
-            _accum(b, _reduce_to(gb, b.shape))
+            _accum(b, gb)
 
     return Tensor._from_op(out, (a, b), backward)
 
@@ -279,23 +267,19 @@ def _spread(g, shape, axis) -> np.ndarray:
 
 
 def matmul(a: Tensor, b) -> Tensor:
-    """Matrix product; supports 2-D x 2-D, batched x 2-D and batched x batched."""
+    """Matrix product of an [m, k] and a [k, n] matrix, the only operands
+    it takes; anything else is a DimensionError naming both shapes."""
     b = _as_tensor(b)
     A, B = a.data, b.data
-    if (A.ndim, B.ndim) not in ((2, 2), (3, 2), (3, 3)):
-        raise DimensionError(f"unsupported matmul ranks: {A.shape} x {B.shape}")
-    if B.ndim == 3 and (A.shape[0] != B.shape[0] or A.shape[2] != B.shape[1]):
-        raise DimensionError(f"matmul batch shapes differ: {A.shape} x {B.shape}")
-    if A.shape[-1] != B.shape[-2]:
-        raise DimensionError(f"matmul inner dimensions differ: {A.shape} x {B.shape}")
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        raise DimensionError(f"matmul needs [m, k] x [k, n] matrices, got {A.shape} x {B.shape}")
     out = A @ B
 
     def backward(g):
         if a.requires_grad:
-            _accum(a, g @ np.swapaxes(B, -1, -2))
+            _accum(a, g @ B.T)
         if b.requires_grad:
-            _accum(b, np.swapaxes(A, -1, -2) @ g if A.ndim == B.ndim
-                   else np.tensordot(A, g, axes=([0, 1], [0, 1])))
+            _accum(b, A.T @ g)
 
     return Tensor._from_op(out, (a, b), backward)
 

@@ -331,6 +331,8 @@ CORRUPTIONS = {
     "spec-bool-hidden-size": ("checkpoint",
                               lambda h: h["meta"]["model_spec"].update(hidden_size=True)),
     "spec-negative-seed": ("checkpoint", lambda h: h["meta"]["model_spec"].update(seed=-1)),
+    "checkpoint-null-hash": ("checkpoint", lambda h: h["meta"].update(data_hash=None)),
+    "checkpoint-no-hash": ("checkpoint", lambda h: h["meta"].pop("data_hash")),
 }
 
 

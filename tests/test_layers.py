@@ -273,17 +273,19 @@ class TestConv1d:
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_batched_gradients(self, k):
-        conv = Conv1d(2, 3, k, make_rng(60 + k))
-        x = make_rng(70 + k).uniform(-1, 1, (3, 8, 2))
-        weights = Tensor(make_rng(80 + k).normal(size=(3, 8, 3)))
+        # 8 steps, and 3 steps: shorter than the k=5 and k=7 kernels
+        for n in (8, 3):
+            conv = Conv1d(2, 3, k, make_rng(60 + k))
+            x = make_rng(70 + k).uniform(-1, 1, (3, n, 2))
+            weights = Tensor(make_rng(80 + k).normal(size=(3, n, 3)))
 
-        def fn(w, b, xv):
-            conv.W, conv.b = w, b
-            out = conv(xv)
-            return (out * out * weights).sum()
+            def fn(w, b, xv):
+                conv.W, conv.b = w, b
+                out = conv(xv)
+                return (out * out * weights).sum()
 
-        bias = make_rng(90 + k).normal(size=3)
-        assert_gradients_match(fn, [conv.W.data.copy(), bias, x])
+            bias = make_rng(90 + k).normal(size=3)
+            assert_gradients_match(fn, [conv.W.data.copy(), bias, x])
 
     def test_one_node(self):
         conv = Conv1d(2, 3, 5, make_rng(31))
@@ -363,13 +365,21 @@ class TestAttention:
         out = head(node[0])
         (out * upstream).sum().backward()
 
+        # the reference runs one window at a time through 2-D engine ops
         chain = leaves()
         x, wq, wk, wv = chain
-        scores = (x @ wq) @ (x @ wk).transpose((0, 2, 1)) * (1.0 / np.sqrt(4))
-        reference = softmax(scores, axis=-1) @ (x @ wv)
-        (reference * upstream).sum().backward()
+        n = h.shape[1]
+        scale = Tensor(np.array(1 / np.sqrt(4))).expand((n, n))
+        reference, loss = [], None
+        for i in range(h.shape[0]):
+            scores = (x[i] @ wq) @ (x[i] @ wk).transpose((1, 0)) * scale
+            row = softmax(scores, axis=-1) @ (x[i] @ wv)
+            term = (row * upstream[i]).sum()
+            loss = term if loss is None else loss + term
+            reference.append(row.data)
+        loss.backward()
 
-        np.testing.assert_allclose(out.data, reference.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.data, np.stack(reference), rtol=0, atol=1e-12)
         for a, b in zip(node, chain):
             np.testing.assert_allclose(a.grad, b.grad, rtol=0, atol=1e-12)
 
