@@ -3,7 +3,8 @@
 Subcommands: prepare, train, evaluate, compare, predict.  Settings resolve
 as CLI flags over config-file values over built-in defaults; the output
 directory falls back to $METROFLOW_OUT.  Exit codes: 0 success, 1 runtime
-failure, 2 usage or configuration error.
+failure (running out of memory included), 2 usage or configuration error,
+130 interrupted by Ctrl-C.
 """
 
 from __future__ import annotations
@@ -396,9 +397,12 @@ def main(argv=None) -> int:
             FileNotFoundError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (MetroflowError, OSError) as err:
+    except (MetroflowError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

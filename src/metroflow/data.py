@@ -194,11 +194,11 @@ def discover_vocab(columns) -> tuple:
     return tuple(sorted(set(columns["weather_main"])))
 
 
-def encode(columns, vocab=None) -> EncodedSeries:
+def encode(columns, vocab) -> EncodedSeries:
     """Encode parsed columns into fixed-width feature rows.
 
     Column order: temp, rain_1h, snow_1h, clouds_all, hour sin/cos, day-of-week
-    sin/cos, holiday flag, one one-hot column per vocabulary entry, and
+    sin/cos, holiday flag, one one-hot column per ``vocab`` entry, and
     traffic_volume last.  Hour and weekday come from the epoch seconds
     (1970-01-01 was a Thursday, weekday 3), and the angles use the scalar
     expressions ``2.0 * np.pi * h / 24.0`` and ``2.0 * np.pi * w / 7.0`` over
@@ -206,8 +206,6 @@ def encode(columns, vocab=None) -> EncodedSeries:
     block all zero.  Continuous columns stay on their raw scale here;
     standardization happens against training statistics when splitting.
     """
-    if vocab is None:
-        vocab = discover_vocab(columns)
     vocab = tuple(vocab)
     times = columns["date_time"]
     hour_angle = 2.0 * np.pi * (times // 3600 % 24) / 24.0

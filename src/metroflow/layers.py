@@ -1,17 +1,18 @@
 """Neural building blocks: LSTM cell, 1-D convolution, attention and dense.
 
-Every layer takes a batch and nothing else.  ``Conv1d``, ``LstmCell.unroll``
-and ``AttentionHead`` take windows [B, n, channels]; ``Dense`` and
-``LstmCell.step`` take rows [B, channels], with [B, hidden] states for
-``step``.  Any other rank or channel width is a DimensionError; one
-window is a batch of one.
+Every layer takes a batch and nothing else.  ``conv_stack``,
+``LstmCell.unroll`` and ``AttentionHead`` take windows [B, n, channels];
+``Dense`` and ``LstmCell.step`` take rows [B, channels], with [B, hidden]
+states for ``step``.  Any other rank or channel width is a DimensionError;
+one window is a batch of one.
 
 ``conv_stack``, ``LstmCell.unroll`` and ``AttentionHead`` each run in
 numpy as one graph node with a hand-written backward.  ``conv_stack`` is
-the one convolution rule: ``Conv1d`` calls it for one conv, and
-``models.ForecastModel._multi_scale`` for the ReLU branches of the
-multi-scale stage.  ``step`` is built from engine ops and is the reference
-for ``unroll`` in the tests.
+the one convolution rule: a ``Conv1d`` only holds one conv's weights, and
+``models.ForecastModel._multi_scale`` runs the multi-scale branches through
+``conv_stack``.  The convs read raw windows, so ``conv_stack`` gives no
+input gradient and refuses an input that needs one.  ``step`` is built from
+engine ops and is the reference for ``unroll`` in the tests.
 """
 
 from __future__ import annotations
@@ -62,17 +63,21 @@ class Dense:
 def conv_stack(x: Tensor, convs, relu: bool) -> Tensor:
     """Parallel ``Conv1d`` layers over one input, concatenated over channels.
 
-    One graph node whose parents are the input and each conv's W and b,
-    read at call time.  The convs become one "same" convolution of width
-    K = max(kernel sizes): tap j of a conv of width k lands at tap
-    j + (K - k) / 2 of combined weights [K, in, total out channels] that
-    are zero elsewhere.  The forward pads the input once and sums K
-    per-tap matmuls in tap order, adding the biases last, so it makes no
-    unfolded copy of the input; with ``relu`` each output goes through a
-    ReLU.  The backward unfolds the padded input into [B * n, K * in] and
-    gets every weight gradient from one matmul, and skips the input
-    gradient when the input needs none, as for raw windows.
+    One graph node whose parents are each conv's W and b, read at call
+    time.  The input is not a parent: no model feeds a conv anything but
+    raw windows, so an input that needs a gradient is a UsageError.  The
+    convs become one "same" convolution of width K = max(kernel sizes):
+    tap j of a conv of width k lands at tap j + (K - k) / 2 of combined
+    weights [K, in, total out channels] that are zero elsewhere.  The
+    forward pads the input once and sums K per-tap matmuls in tap order,
+    adding the biases last, so it makes no unfolded copy of the input;
+    with ``relu`` each output goes through a ReLU.  The backward unfolds
+    the padded input into [B * n, K * in] and gets every weight gradient
+    from one matmul.
     """
+    _check_batch(x, convs[0].W.shape[1], "conv")
+    if x.requires_grad:
+        raise UsageError("conv_stack gives no input gradient; its input must not need one")
     data = x.data
     batch, n, width = data.shape
     K = max(conv.kernel_size for conv in convs)
@@ -84,7 +89,7 @@ def conv_stack(x: Tensor, convs, relu: bool) -> Tensor:
     taps = np.zeros((K, width, ends[-1]))
     for conv, (rows, cols) in zip(convs, blocks):
         taps[rows, :, cols] = conv.W.data.transpose(2, 1, 0)
-    parents = (x,) + tuple(p for conv in convs for p in (conv.W, conv.b))
+    parents = tuple(p for conv in convs for p in (conv.W, conv.b))
     xp = np.pad(data, ((0, 0), (pad, pad), (0, 0)))
     y = xp[:, :n] @ taps[0]
     for j in range(1, K):
@@ -104,38 +109,29 @@ def conv_stack(x: Tensor, convs, relu: bool) -> Tensor:
                 _accum(conv.W, dtaps[rows, :, cols].transpose(2, 1, 0))
             if conv.b.requires_grad:
                 _accum(conv.b, db[cols])
-        if x.requires_grad:
-            dy3 = dy.reshape(batch, n, -1)
-            dxp = np.zeros(xp.shape)
-            for j in range(K):
-                dxp[:, j:j + n] += dy3 @ taps[j].T
-            _accum(x, dxp[:, pad:pad + n])
 
     return Tensor._from_op(y, parents, backward)
 
 
 class Conv1d:
-    """1-D cross-correlation over time with symmetric zero "same" padding.
+    """The weights of a 1-D cross-correlation over time with symmetric zero
+    "same" padding.
 
     Output length equals input length; the kernel size must be odd so the
-    padding is (k-1)/2 on each side.  A call is ``conv_stack`` of this conv
-    alone, without a ReLU: one graph node with parents (input, W, b).
+    padding is (k-1)/2 on each side.  A Conv1d has no call: ``conv_stack``
+    runs it, alone or beside other convs, as one graph node whose parents
+    are the convs' W and b, with no input gradient.
     """
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
                  rng: np.random.Generator):
         if kernel_size < 1 or kernel_size % 2 == 0:
             raise ConfigError(f"kernel size must be a positive odd int, got {kernel_size}")
-        self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = kernel_size
         fan = in_channels * kernel_size, out_channels * kernel_size
         self.W = glorot_uniform(rng, (out_channels, in_channels, kernel_size), *fan)
         self.b = zeros(out_channels)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        _check_batch(x, self.in_channels, "conv1d")
-        return conv_stack(x, (self,), relu=False)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"W": self.W, "b": self.b}

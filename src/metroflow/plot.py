@@ -17,7 +17,8 @@ def line_chart(series, x_labels=None, title="", y_label="", width=960, height=32
     """Render named series as one SVG document.
 
     ``series`` is a list of (label, values) pairs drawn over a shared index
-    axis.  Output is deterministic for identical inputs.
+    axis; ``x_labels``, when given, holds one label per point.  Output is
+    deterministic for identical inputs.
     """
     if not series:
         raise ValueError("line_chart needs at least one series")
@@ -74,8 +75,6 @@ def line_chart(series, x_labels=None, title="", y_label="", width=960, height=32
     if x_labels:
         step = max(1, (count - 1) // 6) if count > 1 else 1
         for i in range(0, count, step):
-            if i >= len(x_labels):
-                break
             x = x_at(i, count)
             parts.append(
                 f'<text x="{_fmt(x)}" y="{height - 16}" text-anchor="middle" '

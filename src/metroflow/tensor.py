@@ -73,12 +73,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     # -- graph construction -------------------------------------------------
 
     @staticmethod
@@ -148,12 +142,6 @@ class Tensor:
         return matmul(self, other)
 
     # -- unary ops ----------------------------------------------------------
-
-    def relu(self):
-        out = np.maximum(self.data, 0.0)
-        # subgradient at 0 is 0: strict inequality
-        mask = self.data > 0.0
-        return Tensor._from_op(out, (self,), lambda g: _accum(self, g * mask))
 
     def tanh(self):
         out = np.tanh(self.data)

@@ -41,7 +41,7 @@ def assert_gradients_match(fn, arrays, rtol=1e-4, h=1e-5):
     loss.backward()
     analytic = [t.grad.copy() for t in tensors]
     for i, t in enumerate(tensors):
-        t.zero_grad()
+        t.grad = None
         numeric = numerical_grad(fn, tensors, i, h=h)
         err = max_relative_error(analytic[i], numeric)
         assert err <= rtol, f"input {i}: relative error {err:.3e} > {rtol:.1e}"

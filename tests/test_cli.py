@@ -6,6 +6,7 @@ entry point.
 """
 
 import json
+import re
 import subprocess
 import sys
 from datetime import datetime, timedelta
@@ -88,6 +89,38 @@ class TestPrepare:
         assert not (out / "dataset.bin").exists()
         assert not (out / "prepare_summary.json").exists()
 
+    def test_rejects_and_strptime_spellings(self, tmp_path):
+        # a row of ten fields, a nan temperature and 2016-02-30, which the
+        # fixed-width fast path hands to strptime, are rejected; hour 99
+        # spelled 2016-1-5 3:00:00, which only strptime reads, is kept
+        lines = write_csv(tmp_path / "odd.csv").read_text().splitlines()
+        for i, column, value in ((10, 8, "1000,extra"), (20, 1, "nan"),
+                                 (30, 7, "2016-02-30 10:00:00"), (100, 7, "2016-1-5 3:00:00")):
+            fields = lines[i].split(",")
+            fields[column] = value
+            lines[i] = ",".join(fields)
+        (tmp_path / "odd.csv").write_text("\n".join(lines) + "\n")
+        assert run("prepare", "--csv", tmp_path / "odd.csv", "--out", tmp_path,
+                   "--window", "8") == 0
+        summary = json.loads((tmp_path / "prepare_summary.json").read_text())
+        assert summary["rejects"] == [
+            {"line": 11, "reason": "expected 9 fields, found 10"},
+            {"line": 21, "reason": "non-finite temp"},
+            {"line": 31, "reason": "day is out of range for month"},
+        ]
+        assert (summary["parsed"], summary["rejected"]) == (137, 3)
+        assert summary["cleaning"]["kept"] == 137
+        assert summary["cleaning"]["duplicate_timestamps"] == 0
+
+    def test_failed_write_exit_one_without_temporary_file(self, workspace, tmp_path, capsys):
+        # a directory where the summary goes: os.replace fails, also for root
+        out = tmp_path / "out"
+        (out / "prepare_summary.json").mkdir(parents=True)
+        assert run("prepare", "--csv", workspace["csv"], "--out", out, "--window", "8") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not list(out.glob(".prepare_summary.json.*.tmp"))
+
     def test_missing_csv_flag(self, tmp_path):
         assert run("prepare", "--out", tmp_path) == 2
 
@@ -129,6 +162,19 @@ class TestTrain:
         assert svg.startswith("<svg")
         assert svg.count("<polyline") == 2
         assert svg == (out_b / "plot_lstm_attention.svg").read_text()
+
+    def test_plot_of_one_test_window(self, tmp_path):
+        # hours 0-76 and 84-91: the 8-hour gap splits the 17 test rows into a
+        # run of 9, which holds one window of 8+1 steps, and a run of 8
+        lines = write_csv(tmp_path / "gap.csv", hours=92).read_text().splitlines()
+        (tmp_path / "gap.csv").write_text("\n".join(lines[:78] + lines[85:]) + "\n")
+        out = tmp_path / "out"
+        assert run("prepare", "--csv", tmp_path / "gap.csv", "--out", out, "--window", "8") == 0
+        summary = json.loads((out / "prepare_summary.json").read_text())
+        assert summary["window_counts"]["test"] == 1
+        assert run("train", "--model", "mstim", "--out", out, "--plot", *SMALL) == 0
+        points = re.findall(r'points="([^"]*)"', (out / "plot_mstim.svg").read_text())
+        assert len(points) == 2 and all(len(p.split()) == 1 for p in points)
 
     def test_missing_dataset_exit_two(self, tmp_path):
         assert run("train", "--model", "mstim", "--out", tmp_path, *SMALL) == 2
@@ -195,6 +241,26 @@ class TestTrain:
         code = run("train", "--model", "mstim", "--out", tmp_path,
                    "--data", workspace["out"] / "dataset.bin", *SMALL)
         assert code == 1
+
+    def test_interrupt_exit_130(self, workspace, tmp_path, monkeypatch, capsys):
+        def interrupt(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "train", interrupt)
+        code = run("train", "--model", "mstim", "--out", tmp_path,
+                   "--data", workspace["out"] / "dataset.bin", *SMALL)
+        assert code == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert not list(tmp_path.glob("model_*.bin"))
+
+    def test_unallocatable_model_exit_one(self, workspace, tmp_path, capsys):
+        # numpy refuses the 71.1 PiB LSTM weight at once, before using any memory
+        code = run("train", "--model", "mstim", "--out", tmp_path,
+                   "--data", workspace["out"] / "dataset.bin", "--hidden-size", "100000000")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not list(tmp_path.glob("model_*.bin"))
 
 
 class TestConfigFile:
@@ -290,6 +356,18 @@ class TestEvaluate:
         assert "different prepared dataset" in err
         assert str(checkpoint) in err and str(data) in err
 
+    def test_unallocatable_spec_exit_one(self, workspace, tmp_path, capsys):
+        # the forged spec's model is built, and refused by numpy, before any
+        # stored shape is compared with it
+        arrays, meta = read_blob(workspace["out"] / "model_lstm_attention.bin")
+        meta["model_spec"]["hidden_size"] = 100_000_000
+        write_blob(tmp_path / "huge.bin", arrays, meta)
+        assert run("evaluate", "--model", "lstm_attention", "--out", tmp_path,
+                   "--checkpoint", tmp_path / "huge.bin",
+                   "--data", workspace["out"] / "dataset.bin") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
     def test_previous_cache_layout_evaluates(self, workspace, tmp_path):
         # the layout that also stored window start rows, split bounds and data_hash
         new = workspace["out"] / "dataset.bin"
@@ -311,46 +389,72 @@ def _entry(header, name):
     return next(e for e in header["entries"] if e["name"] == name)
 
 
-#: case -> (edited artifact, header edit); a None edit overwrites the payload with NaN
+#: case -> (edited artifact, edit, text the error holds).  The edit changes the
+#: parsed header in place, bytes replace the header line, and None overwrites
+#: the payload with NaN.
 CORRUPTIONS = {
-    "entry-without-offset": ("checkpoint", lambda h: h["entries"][0].pop("offset")),
-    "shape-not-int": ("checkpoint", lambda h: h["entries"][0].update(shape=["a"])),
-    "entry-not-object": ("checkpoint", lambda h: h["entries"].insert(0, "lstm/W_i")),
-    "negative-shape": ("dataset", lambda h: _entry(h, "times").update(shape=[-1])),
-    "version-2": ("checkpoint", lambda h: h.update(version=2)),
-    "no-model-spec": ("checkpoint", lambda h: h["meta"].pop("model_spec")),
-    "unknown-spec-key": ("checkpoint", lambda h: h["meta"]["model_spec"].update(dropout=0.1)),
-    "no-mean-array": ("dataset", lambda h: h["entries"].remove(_entry(h, "mean"))),
-    "no-window-meta": ("dataset", lambda h: h["meta"].pop("window")),
-    "window-past-series-end": ("dataset", lambda h: h["meta"].update(window=100)),
-    "nan-payload": ("dataset", None),
-    "checkpoint-nan-payload": ("checkpoint", None),
+    "entry-without-offset": ("checkpoint", lambda h: h["entries"][0].pop("offset"),
+                             "has a malformed entry"),
+    "shape-not-int": ("checkpoint", lambda h: h["entries"][0].update(shape=["a"]),
+                      "has a malformed entry"),
+    "entry-not-object": ("checkpoint", lambda h: h["entries"].insert(0, "lstm/W_i"),
+                         "has a malformed entry"),
+    "negative-shape": ("dataset", lambda h: _entry(h, "times").update(shape=[-1]),
+                       "has a malformed entry"),
+    "version-2": ("checkpoint", lambda h: h.update(version=2), "version 2, expected"),
+    "dataset-header-not-json": ("dataset", b"{not json", "is not a metroflow blob: bad header"),
+    "checkpoint-header-not-json": ("checkpoint", b"{not json",
+                                   "is not a metroflow blob: bad header"),
+    "no-model-spec": ("checkpoint", lambda h: h["meta"].pop("model_spec"),
+                      "has no valid model_spec"),
+    "unknown-spec-key": ("checkpoint", lambda h: h["meta"]["model_spec"].update(dropout=0.1),
+                         "unexpected keyword argument 'dropout'"),
+    "no-mean-array": ("dataset", lambda h: h["entries"].remove(_entry(h, "mean")),
+                      "malformed dataset cache: missing arrays ['mean']"),
+    "no-window-meta": ("dataset", lambda h: h["meta"].pop("window"),
+                       "malformed dataset cache: window, horizon or vocab is missing"),
+    "times-shape": ("dataset", lambda h: _entry(h, "times").update(shape=[139]),
+                    "malformed dataset cache: series, times, mean and std shapes disagree"),
+    "window-past-series-end": ("dataset", lambda h: h["meta"].update(window=1000),
+                               "malformed dataset cache: series of 140 records cannot fit "
+                               "one window of 1000+1 steps"),
+    "nan-payload": ("dataset", None, "malformed dataset cache: non-finite values"),
+    "checkpoint-nan-payload": ("checkpoint", None, "holds non-finite values"),
     "checkpoint-missing-entry": ("checkpoint",
-                                 lambda h: h["entries"].remove(_entry(h, "head/b"))),
-    "checkpoint-entry-shape": ("checkpoint", lambda h: _entry(h, "head/W").update(shape=[1, 1])),
+                                 lambda h: h["entries"].remove(_entry(h, "head/b")),
+                                 "checkpoint parameters ['head/b'] do not match the spec"),
+    "checkpoint-entry-shape": ("checkpoint", lambda h: _entry(h, "head/W").update(shape=[1, 1]),
+                               "entry head/W has shape (1, 1), expected (1, 8)"),
     "spec-bool-hidden-size": ("checkpoint",
-                              lambda h: h["meta"]["model_spec"].update(hidden_size=True)),
-    "spec-negative-seed": ("checkpoint", lambda h: h["meta"]["model_spec"].update(seed=-1)),
-    "checkpoint-null-hash": ("checkpoint", lambda h: h["meta"].update(data_hash=None)),
-    "checkpoint-no-hash": ("checkpoint", lambda h: h["meta"].pop("data_hash")),
+                              lambda h: h["meta"]["model_spec"].update(hidden_size=True),
+                              "hidden_size must be a positive int, got True"),
+    "spec-negative-seed": ("checkpoint", lambda h: h["meta"]["model_spec"].update(seed=-1),
+                           "seed must be a non-negative int, got -1"),
+    "checkpoint-null-hash": ("checkpoint", lambda h: h["meta"].update(data_hash=None),
+                             "has no data_hash string"),
+    "checkpoint-no-hash": ("checkpoint", lambda h: h["meta"].pop("data_hash"),
+                           "has no data_hash string"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_corrupted_artifact_exit_two(workspace, tmp_path, capsys, case):
-    target, edit = CORRUPTIONS[case]
+    target, edit, text = CORRUPTIONS[case]
     paths = {"checkpoint": workspace["out"] / "model_lstm_attention.bin",
              "dataset": workspace["out"] / "dataset.bin"}
     for name, src in paths.items():
         blob = src.read_bytes()
         if name == target:
             line, payload = blob.split(b"\n", 1)
-            header = json.loads(line)
             if edit is None:
                 payload = np.full(len(payload) // 8, np.nan).tobytes()
+            elif isinstance(edit, bytes):
+                line = edit
             else:
+                header = json.loads(line)
                 edit(header)
-            blob = json.dumps(header).encode() + b"\n" + payload
+                line = json.dumps(header).encode()
+            blob = line + b"\n" + payload
         paths[name] = tmp_path / src.name
         paths[name].write_bytes(blob)
     code = run("evaluate", "--model", "lstm_attention", "--out", tmp_path,
@@ -358,7 +462,7 @@ def test_corrupted_artifact_exit_two(workspace, tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
-    assert paths[target].name in err
+    assert paths[target].name in err and text in err
 
 
 def _wrong_kind_argv(workspace, wrong):

@@ -219,17 +219,17 @@ class TestClean:
 
 class TestEncode:
     def test_hour_zero(self):
-        e = encode(columns(row(0)))
+        e = encode(columns(row(0)), vocab=("Clouds",))
         assert e.features[0, 4] == pytest.approx(0.0, abs=1e-12)
         assert e.features[0, 5] == pytest.approx(1.0, abs=1e-12)
 
     def test_hour_six(self):
-        e = encode(columns(row(6)))
+        e = encode(columns(row(6)), vocab=("Clouds",))
         assert e.features[0, 4] == pytest.approx(1.0, abs=1e-12)
         assert e.features[0, 5] == pytest.approx(0.0, abs=1e-12)
 
     def test_cyclic_identity(self):
-        e = encode(columns(*(row(h) for h in range(170))))
+        e = encode(columns(*(row(h) for h in range(170))), vocab=("Clouds",))
         hour = e.features[:, 4] ** 2 + e.features[:, 5] ** 2
         dow = e.features[:, 6] ** 2 + e.features[:, 7] ** 2
         np.testing.assert_allclose(hour, 1.0, atol=1e-12)
@@ -237,7 +237,7 @@ class TestEncode:
 
     def test_day_of_week_period(self):
         # 2016-01-01 is a Friday; one week later the encoding repeats
-        e = encode(columns(row(0), row(24 * 7)))
+        e = encode(columns(row(0), row(24 * 7)), vocab=("Clouds",))
         np.testing.assert_allclose(e.features[0, 6:8], e.features[1, 6:8], atol=1e-12)
 
     def test_vocab_discovery_sorted(self):
@@ -253,7 +253,8 @@ class TestEncode:
         np.testing.assert_array_equal(e.features[0, 9:11], [0.0, 0.0])
 
     def test_holiday_flag(self):
-        e = encode(columns(row(0, holiday="None"), row(1, holiday="New Years Day")))
+        e = encode(columns(row(0, holiday="None"), row(1, holiday="New Years Day")),
+                   vocab=("Clouds",))
         assert e.features[0, 8] == 0.0
         assert e.features[1, 8] == 1.0
 
@@ -269,7 +270,7 @@ class TestEncode:
         # and weekday, which is what keeps prepared datasets byte-identical
         stamps = [datetime(year, year - 2011, 9) + timedelta(hours=h)
                   for year in range(2012, 2019) for h in range(14 * 24)]
-        e = encode(columns(*(row(0, start=when) for when in stamps)))
+        e = encode(columns(*(row(0, start=when) for when in stamps)), vocab=("Clouds",))
         expected = []
         for when in stamps:
             hour_angle = 2.0 * np.pi * when.hour / 24.0

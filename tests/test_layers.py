@@ -5,7 +5,7 @@ import pytest
 
 from gradcheck import assert_gradients_match
 from metroflow.errors import ConfigError, DimensionError, NumericError, UsageError
-from metroflow.layers import AttentionHead, Conv1d, Dense, LstmCell, glorot_uniform
+from metroflow.layers import AttentionHead, Conv1d, Dense, LstmCell, conv_stack, glorot_uniform
 from metroflow.tensor import Tensor, softmax
 
 
@@ -180,11 +180,13 @@ class TestFusedUnroll:
 
 
 class TestConv1d:
+    """One conv run alone through ``conv_stack``, without the ReLU."""
+
     def test_box_kernel_with_same_padding(self):
         conv = Conv1d(1, 1, 3, make_rng())
         conv.W.data[...] = 1.0
         conv.b.data[...] = 0.0
-        out = conv(Tensor(np.array([[[1.0], [2.0], [3.0]]])))
+        out = conv_stack(Tensor(np.array([[[1.0], [2.0], [3.0]]])), (conv,), relu=False)
         np.testing.assert_allclose(out.data, [[[3.0], [6.0], [5.0]]], atol=1e-15)
 
     def test_identity_kernel(self):
@@ -194,20 +196,20 @@ class TestConv1d:
         for ch in range(2):
             conv.W.data[ch, ch, 1] = 1.0
         x = make_rng(1).uniform(-1, 1, (1, 7, 2))
-        out = conv(Tensor(x))
+        out = conv_stack(Tensor(x), (conv,), relu=False)
         np.testing.assert_allclose(out.data, x, atol=1e-15)
 
     def test_zero_sum_kernel_on_constant_input(self):
         conv = Conv1d(1, 1, 3, make_rng())
         conv.W.data[0, 0] = [1.0, -2.0, 1.0]
         conv.b.data[...] = 0.0
-        out = conv(Tensor(np.full((1, 6, 1), 3.0)))
+        out = conv_stack(Tensor(np.full((1, 6, 1), 3.0)), (conv,), relu=False)
         np.testing.assert_allclose(out.data[:, 1:-1], np.zeros((1, 4, 1)), atol=1e-14)
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_same_length_for_every_kernel(self, k):
         conv = Conv1d(3, 2, k, make_rng(k))
-        out = conv(Tensor(make_rng(1).uniform(-1, 1, (1, 10, 3))))
+        out = conv_stack(Tensor(make_rng(1).uniform(-1, 1, (1, 10, 3))), (conv,), relu=False)
         assert out.shape == (1, 10, 2)
 
     def test_even_kernel_rejected(self):
@@ -217,31 +219,32 @@ class TestConv1d:
     def test_channel_mismatch(self):
         conv = Conv1d(3, 2, 3, make_rng())
         with pytest.raises(DimensionError):
-            conv(Tensor(np.zeros((1, 5, 4))))
+            conv_stack(Tensor(np.zeros((1, 5, 4))), (conv,), relu=False)
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_gradients(self, k):
         conv = Conv1d(2, 2, k, make_rng(k))
-        x = make_rng(20 + k).uniform(-1, 1, (1, 8, 2))
+        x = Tensor(make_rng(20 + k).uniform(-1, 1, (1, 8, 2)))
 
-        def fn(w, b, xv):
+        def fn(w, b):
             conv.W, conv.b = w, b
-            return (conv(xv) * conv(xv)).sum()
+            out = conv_stack(x, (conv,), relu=False)
+            return (out * out).sum()
 
-        assert_gradients_match(fn, [conv.W.data.copy(), conv.b.data.copy(), x])
+        assert_gradients_match(fn, [conv.W.data.copy(), conv.b.data.copy()])
 
     @staticmethod
     def loop_reference(x, w, b, g, relu=False):
         """Explicit loops over batch, time, output channel and tap.
 
         Returns the output, with a ReLU when ``relu``, and the gradients of
-        ``sum(output * g)`` by x, w and b.
+        ``sum(output * g)`` by w and b.
         """
         batch, n, _ = x.shape
         out_channels, _, k = w.shape
         pad = (k - 1) // 2
         y = np.empty((batch, n, out_channels))
-        dx, dw, db = np.zeros(x.shape), np.zeros(w.shape), np.zeros(b.shape)
+        dw, db = np.zeros(w.shape), np.zeros(b.shape)
         for s in range(batch):
             for t in range(n):
                 for o in range(out_channels):
@@ -256,19 +259,18 @@ class TestConv1d:
                     for j in range(k):
                         if 0 <= t + j - pad < n:
                             dw[o, :, j] += d * x[s, t + j - pad]
-                            dx[s, t + j - pad] += d * w[o, :, j]
-        return y, dx, dw, db
+        return y, dw, db
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_matches_loop_reference(self, k):
         conv = Conv1d(3, 4, k, make_rng(30 + k))
         conv.b.data[...] = make_rng(40 + k).normal(size=4)
-        x = Tensor(make_rng(50 + k).uniform(-1, 1, (3, 9, 3)), requires_grad=True)
+        x = Tensor(make_rng(50 + k).uniform(-1, 1, (3, 9, 3)))
         g = make_rng(60 + k).normal(size=(3, 9, 4))
-        out = conv(x)
+        out = conv_stack(x, (conv,), relu=False)
         (out * Tensor(g)).sum().backward()
         expected = self.loop_reference(x.data, conv.W.data, conv.b.data, g)
-        for got, want in zip((out.data, x.grad, conv.W.grad, conv.b.grad), expected):
+        for got, want in zip((out.data, conv.W.grad, conv.b.grad), expected):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [3, 5, 7])
@@ -276,25 +278,28 @@ class TestConv1d:
         # 8 steps, and 3 steps: shorter than the k=5 and k=7 kernels
         for n in (8, 3):
             conv = Conv1d(2, 3, k, make_rng(60 + k))
-            x = make_rng(70 + k).uniform(-1, 1, (3, n, 2))
+            x = Tensor(make_rng(70 + k).uniform(-1, 1, (3, n, 2)))
             weights = Tensor(make_rng(80 + k).normal(size=(3, n, 3)))
 
-            def fn(w, b, xv):
+            def fn(w, b):
                 conv.W, conv.b = w, b
-                out = conv(xv)
+                out = conv_stack(x, (conv,), relu=False)
                 return (out * out * weights).sum()
 
             bias = make_rng(90 + k).normal(size=3)
-            assert_gradients_match(fn, [conv.W.data.copy(), bias, x])
+            assert_gradients_match(fn, [conv.W.data.copy(), bias])
 
     def test_one_node(self):
+        # the input is data, not a parent; one that needs a gradient is refused
         conv = Conv1d(2, 3, 5, make_rng(31))
         x = Tensor(np.ones((3, 8, 2)))
-        out = conv(x)
-        assert out._parents == (x, conv.W, conv.b)
+        out = conv_stack(x, (conv,), relu=False)
+        assert out._parents == (conv.W, conv.b)
         out.sum().backward()
         assert x.grad is None
         assert conv.W.grad.shape == conv.W.shape and conv.b.grad.shape == conv.b.shape
+        with pytest.raises(UsageError, match="no input gradient"):
+            conv_stack(Tensor(x.data, requires_grad=True), (conv,), relu=False)
 
 
 class TestAttention:
@@ -437,7 +442,8 @@ class TestDense:
 
 
 UNBATCHED = {
-    "conv1d": lambda: Conv1d(3, 2, 3, make_rng())(Tensor(np.zeros((5, 3)))),
+    "conv1d": lambda: conv_stack(Tensor(np.zeros((5, 3))), (Conv1d(3, 2, 3, make_rng()),),
+                                 relu=False),
     "unroll": lambda: LstmCell(3, 4, make_rng()).unroll(Tensor(np.zeros((5, 3)))),
     "attention": lambda: AttentionHead(3, 2, make_rng())(Tensor(np.zeros((5, 3)))),
     "dense": lambda: Dense(3, 2, make_rng())(Tensor(np.zeros(3))),

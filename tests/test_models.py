@@ -148,34 +148,31 @@ class TestMultiScale:
         rng = np.random.default_rng(16)
         for conv in model.convs:
             conv.b.data[...] = rng.normal(size=conv.b.shape)
-        x = Tensor(rng.normal(size=(batch, 8, 5)), requires_grad=True)
+        x = Tensor(rng.normal(size=(batch, 8, 5)))
         upstream = rng.normal(size=(batch, 8, 4 * len(kernels)))
         out = model._multi_scale(x)
         (out * Tensor(upstream)).sum().backward()
-        dx = np.zeros(x.shape)
         for j, conv in enumerate(model.convs):
             cols = slice(4 * j, 4 * (j + 1))
-            y, dxj, dw, db = loop_reference(x.data, conv.W.data, conv.b.data,
-                                            upstream[..., cols], relu=True)
+            y, dw, db = loop_reference(x.data, conv.W.data, conv.b.data,
+                                       upstream[..., cols], relu=True)
             for got, want in ((out.data[..., cols], y), (conv.W.grad, dw), (conv.b.grad, db)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-            dx += dxj
-        np.testing.assert_allclose(x.grad, dx, rtol=0, atol=1e-12)
 
     def test_gradients(self):
         model = build_model(small_spec("cnn_attention", kernel_sizes=(1, 3), conv_filters=2,
                                        seed=17))
         rng = np.random.default_rng(18)
-        x = rng.uniform(-1, 1, (2, 8, 5))
+        x = Tensor(rng.uniform(-1, 1, (2, 8, 5)))
         weights = Tensor(rng.normal(size=(2, 8, 4)))
-        arrays = [x]
+        arrays = []
         for conv in model.convs:
             arrays += [conv.W.data.copy(), rng.normal(size=conv.b.shape)]
 
-        def fn(xv, *params):
+        def fn(*params):
             for conv, w, b in zip(model.convs, params[::2], params[1::2]):
                 conv.W, conv.b = w, b
-            out = model._multi_scale(xv)
+            out = model._multi_scale(x)
             return (out * out * weights).sum()
 
         assert_gradients_match(fn, arrays)
@@ -184,7 +181,7 @@ class TestMultiScale:
         model = build_model(small_spec("mstim"))
         x = Tensor(np.ones((2, 8, 5)))
         out = model._multi_scale(x)
-        assert out._parents == (x,) + tuple(p for conv in model.convs for p in (conv.W, conv.b))
+        assert out._parents == tuple(p for conv in model.convs for p in (conv.W, conv.b))
         out.sum().backward()
         assert x.grad is None
 
@@ -238,7 +235,8 @@ class TestBatch:
 
 
     def test_mstim_step_graph_nodes(self):
-        """Nodes reachable from one B=32 training loss, walked as perfbench does."""
+        """Nodes reachable from one B=32 training loss, walked as perfbench does;
+        the raw windows are not one, as ``conv_stack`` takes its input as data."""
         model = build_model(small_spec("mstim"))
         rng = np.random.default_rng(14)
         loss = mse_loss(model.forward_batch(Tensor(rng.standard_normal((32, 8, 5)))),
@@ -249,7 +247,7 @@ class TestBatch:
             if id(node) not in seen:
                 seen.add(id(node))
                 todo.extend(node._parents)
-        assert len(seen) == 32
+        assert len(seen) == 31
 
 
 class TestCheckpoint:
