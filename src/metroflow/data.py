@@ -1,13 +1,16 @@
 """CSV ingestion, feature encoding, normalization and windowing.
 
-The pipeline is parse -> clean -> encode -> split_and_window; only the parse
-works row by row, and the stages after it pass numpy columns.  Splits are
-chronological, normalization statistics come from the training rows only,
-and windows never cross a split boundary or a timeline gap longer than six
-hours; ``_gap_free`` decides that for the split windows and for predict's
-history windows alike.  Both are ``Windows`` views: the series and the
-window start rows, gathered into ``[B, n, d]`` only for the rows a batch or
-prediction chunk reads.  The dataset cache holds only the standardized
+The pipeline is parse -> clean -> encode -> split_and_window, and its stages
+pass plain columns and arrays: ``parse_csv(path)`` returns ``(columns,
+rejects)``, ``clean(columns)`` returns ``(columns, counts)``, ``encode(columns,
+vocab)`` the ``[L, d]`` feature rows, and ``split_and_window(features, times,
+vocab, n, horizon)`` the ``DatasetBundle``.  Only the parse works row by row.
+Splits are chronological, normalization statistics come from the training
+rows only, and windows never cross a split boundary or a timeline gap longer
+than six hours; ``_gap_free`` decides that for the split windows and for
+predict's history windows alike.  Both are ``Windows`` views: the series and
+the window start rows, gathered into ``[B, n, d]`` only for the rows a batch
+or prediction chunk reads.  The dataset cache holds only the standardized
 series, its times and statistics; ``load_cache`` derives the split bounds,
 window starts and ``data_hash`` with the code ``split_and_window`` uses.
 """
@@ -64,12 +67,6 @@ _PARSED = ("holiday", "weather_main", *MEASURED_COLUMNS, "date_time", "traffic_v
 _TEXT = ("holiday", "weather_main")
 
 
-@dataclass
-class ParseResult:
-    columns: dict  # column name -> [L] array of accepted rows
-    rejects: list  # dicts with line number and reason
-
-
 def _to_epoch(dt: datetime) -> float:
     return (dt - _EPOCH).total_seconds()
 
@@ -116,12 +113,14 @@ def _parse_row(row) -> tuple:
     return (row[0], row[5], *measured, when, volume)
 
 
-def parse_csv(path) -> ParseResult:
-    """Read the nine-column traffic CSV; malformed rows land in rejects.
+def parse_csv(path) -> tuple:
+    """Read the nine-column traffic CSV into ``(columns, rejects)``.
 
-    Accepted rows come back as ``[L]`` columns in file order, str objects for
-    the text columns and floats for the rest, ``date_time`` in epoch seconds.
-    ``weather_description`` is never encoded, so it is not kept.
+    ``columns`` maps each ``_PARSED`` name to an ``[L]`` array of the accepted
+    rows in file order, str objects for the text columns and floats for the
+    rest, ``date_time`` in epoch seconds.  ``weather_description`` is never
+    encoded, so it is not kept.  ``rejects`` lists a ``{"line", "reason"}``
+    dict for each malformed row.
     """
     rows = []
     rejects = []
@@ -148,54 +147,34 @@ def parse_csv(path) -> ParseResult:
             raise SchemaError(
                 f"{path}: unreadable CSV ({reader.line_num} lines read): {err}") from None
     fields = list(zip(*rows)) or [()] * len(_PARSED)
-    columns = {name: np.array(values, dtype=object if name in _TEXT else np.float64)
-               for name, values in zip(_PARSED, fields)}
-    return ParseResult(columns=columns, rejects=rejects)
+    return {name: np.array(values, dtype=object if name in _TEXT else np.float64)
+            for name, values in zip(_PARSED, fields)}, rejects
 
 
-@dataclass
-class CleanResult:
-    columns: dict
-    dropped_temperature: int
-    dropped_rain: int
-    duplicate_timestamps: int
+def clean(columns) -> tuple:
+    """Drop impossible readings, dedupe timestamps keep-first, sort by time.
 
-    @property
-    def summary(self) -> dict:
-        return {
-            "kept": len(self.columns["date_time"]),
-            "dropped_temperature": self.dropped_temperature,
-            "dropped_rain": self.dropped_rain,
-            "duplicate_timestamps": self.duplicate_timestamps,
-        }
-
-
-def clean(columns) -> CleanResult:
-    """Drop impossible readings, dedupe timestamps keep-first, sort by time."""
+    Returns ``(columns, counts)``: the kept rows in time order, and the
+    ``kept``, ``dropped_temperature``, ``dropped_rain`` and
+    ``duplicate_timestamps`` counts, which sum to the rows given.
+    """
     cold = columns["temp"] < MIN_PLAUSIBLE_TEMP
     wet = ~cold & (columns["rain_1h"] > MAX_PLAUSIBLE_RAIN)
     plausible = np.flatnonzero(~cold & ~wet)
     # first occurrence of each timestamp, in time order
     _, first = np.unique(columns["date_time"][plausible], return_index=True)
     keep = plausible[first]
-    return CleanResult(columns={name: col[keep] for name, col in columns.items()},
-                       dropped_temperature=int(cold.sum()), dropped_rain=int(wet.sum()),
-                       duplicate_timestamps=len(plausible) - len(keep))
-
-
-@dataclass
-class EncodedSeries:
-    features: np.ndarray  # [L, d], raw continuous columns, final cyclic/flag/one-hot
-    times: np.ndarray     # [L] epoch seconds
-    vocab: tuple          # weather_main categories backing the one-hot block
+    counts = {"kept": len(keep), "dropped_temperature": int(cold.sum()),
+              "dropped_rain": int(wet.sum()), "duplicate_timestamps": len(plausible) - len(keep)}
+    return {name: col[keep] for name, col in columns.items()}, counts
 
 
 def discover_vocab(columns) -> tuple:
     return tuple(sorted(set(columns["weather_main"])))
 
 
-def encode(columns, vocab) -> EncodedSeries:
-    """Encode parsed columns into fixed-width feature rows.
+def encode(columns, vocab) -> np.ndarray:
+    """The ``[L, d]`` feature rows of parsed columns.
 
     Column order: temp, rain_1h, snow_1h, clouds_all, hour sin/cos, day-of-week
     sin/cos, holiday flag, one one-hot column per ``vocab`` entry, and
@@ -206,19 +185,17 @@ def encode(columns, vocab) -> EncodedSeries:
     block all zero.  Continuous columns stay on their raw scale here;
     standardization happens against training statistics when splitting.
     """
-    vocab = tuple(vocab)
     times = columns["date_time"]
     hour_angle = 2.0 * np.pi * (times // 3600 % 24) / 24.0
     dow_angle = 2.0 * np.pi * ((times // 86400 + 3) % 7) / 7.0
     categories = np.array(vocab, dtype=object)
-    features = np.column_stack([
+    return np.column_stack([
         *(columns[name] for name in MEASURED_COLUMNS),
         np.sin(hour_angle), np.cos(hour_angle), np.sin(dow_angle), np.cos(dow_angle),
         columns["holiday"] != "None",
         columns["weather_main"][:, None] == categories[None, :],
         columns["traffic_volume"],
     ])
-    return EncodedSeries(features=features, times=times, vocab=vocab)
 
 
 @dataclass
@@ -292,7 +269,6 @@ class DatasetBundle:
     series: np.ndarray  # [L, d] standardized, full timeline
     times: np.ndarray   # [L] epoch seconds
     bounds: tuple       # (train_end, val_end) row indices
-    starts: dict = field(default_factory=dict)  # split -> window start rows
     summary: dict = field(default_factory=dict)
     data_hash: str = ""
 
@@ -324,7 +300,8 @@ def _window_starts(times: np.ndarray, lo: int, hi: int, n: int, horizon: int) ->
     return lo + starts[_gap_free(times[lo:hi], starts, n + horizon)]
 
 
-def _windowed(series, times, starts, n, horizon, split, stats) -> WindowedDataset:
+def _windowed(series, times, lo, hi, n, horizon, split, stats) -> WindowedDataset:
+    starts = _window_starts(times, lo, hi, n, horizon)
     tidx = starts[:, None] + n + np.arange(horizon)[None, :]
     return WindowedDataset(
         split=split,
@@ -335,22 +312,24 @@ def _windowed(series, times, starts, n, horizon, split, stats) -> WindowedDatase
     )
 
 
-def split_and_window(encoded: EncodedSeries, n: int, horizon: int) -> DatasetBundle:
-    """Chronological split, train-fitted standardization, stride-1 windows."""
+def split_and_window(features, times, vocab, n: int, horizon: int) -> DatasetBundle:
+    """The ``DatasetBundle`` of ``[L, d]`` feature rows, their ``[L]`` epoch
+    seconds and the one-hot vocabulary: chronological split, train-fitted
+    standardization, stride-1 windows."""
     if n < 1 or horizon < 1:
         raise ConfigError(f"window and horizon must be >= 1, got {n} and {horizon}")
-    length = len(encoded.features)
+    length = len(features)
     if length < n + horizon:
         raise ConfigError(
             f"series of {length} records cannot fit one window of {n}+{horizon} steps"
         )
     train_end, _ = _boundaries(length)
     with np.errstate(all="ignore"):  # an overflow surfaces in the check below
-        stats = Stats.fit(encoded.features[:train_end] if train_end else encoded.features)
-        series = stats.normalize(encoded.features)
+        stats = Stats.fit(features[:train_end] if train_end else features)
+        series = stats.normalize(features)
     if not all(np.isfinite(a).all() for a in (stats.mean, stats.std, series)):
         raise NumericError("the training rows overflow the normalization statistics")
-    return _bundle(series, encoded.times, stats, encoded.vocab, n, horizon)
+    return _bundle(series, times, stats, vocab, n, horizon)
 
 
 def _bundle(series, times, stats, vocab, n, horizon, summary=None) -> DatasetBundle:
@@ -358,49 +337,34 @@ def _bundle(series, times, stats, vocab, n, horizon, summary=None) -> DatasetBun
     starts and ``data_hash`` all follow from it, for prepare and load_cache alike."""
     train_end, val_end = bounds = _boundaries(len(series))
     spans = zip(SPLITS, ((0, train_end), (train_end, val_end), (val_end, len(series))))
-    starts = {name: _window_starts(times, lo, hi, n, horizon) for name, (lo, hi) in spans}
-    bundle = DatasetBundle(
-        **{name: _windowed(series, times, starts[name], n, horizon, name, stats)
-           for name in SPLITS},
-        stats=stats, vocab=tuple(vocab), window=n, horizon=horizon, series=series,
-        times=times, bounds=bounds, starts=starts, summary=summary or {},
-    )
-    bundle.data_hash = _bundle_hash(bundle)
-    return bundle
-
-
-def _bundle_hash(bundle: DatasetBundle) -> str:
-    return digest({
+    data_hash = digest({
         "format": DATASET_FORMAT,
-        "window": bundle.window,
-        "horizon": bundle.horizon,
-        "vocab": list(bundle.vocab),
-        "bounds": list(bundle.bounds),
-        "rows": int(len(bundle.series)),
-        "mean": bundle.stats.mean.tolist(),
-        "std": bundle.stats.std.tolist(),
+        "window": n,
+        "horizon": horizon,
+        "vocab": list(vocab),
+        "bounds": list(bounds),
+        "rows": len(series),
+        "mean": stats.mean.tolist(),
+        "std": stats.std.tolist(),
     })
+    return DatasetBundle(
+        **{name: _windowed(series, times, lo, hi, n, horizon, name, stats)
+           for name, (lo, hi) in spans},
+        stats=stats, vocab=tuple(vocab), window=n, horizon=horizon, series=series,
+        times=times, bounds=bounds, summary=summary or {}, data_hash=data_hash,
+    )
 
 
 def _encode_csv(csv_path) -> tuple:
-    """The EncodedSeries of one CSV and its ingest summary; the parsed
+    """``(features, times, vocab, rejects, counts)`` of one CSV; the parsed
     columns die with this frame, before the series is standardized."""
-    parsed = parse_csv(csv_path)
-    cleaned = clean(parsed.columns)
-    kept = cleaned.summary["kept"]
-    if not kept:
+    columns, rejects = parse_csv(csv_path)
+    columns, counts = clean(columns)
+    if not counts["kept"]:
         raise ConfigError(f"{csv_path}: no usable records after cleaning")
-    train_end, _ = _boundaries(kept)
-    vocab = discover_vocab({name: col[:train_end or kept]
-                            for name, col in cleaned.columns.items()})
-    summary = {
-        "parsed": len(parsed.columns["date_time"]),
-        "rejected": len(parsed.rejects),
-        "rejects": parsed.rejects,
-        "cleaning": cleaned.summary,
-        "vocabulary": list(vocab),
-    }
-    return encode(cleaned.columns, vocab=vocab), summary
+    train_end, _ = _boundaries(counts["kept"])
+    vocab = discover_vocab({name: col[:max(train_end, 1)] for name, col in columns.items()})
+    return encode(columns, vocab), columns["date_time"], vocab, rejects, counts
 
 
 def prepare_dataset(csv_path, n: int = ModelSpec.window,
@@ -411,21 +375,25 @@ def prepare_dataset(csv_path, n: int = ModelSpec.window,
     cleaned timeline so evaluation-only categories cannot widen the feature
     space.
     """
-    encoded, summary = _encode_csv(csv_path)
+    features, times, vocab, rejects, counts = _encode_csv(csv_path)
     try:
-        bundle = split_and_window(encoded, n=n, horizon=horizon)
+        bundle = split_and_window(features, times, vocab, n, horizon)
     except NumericError as err:
         raise ConfigError(f"{csv_path}: {err}") from None
     train_end, val_end = bundle.bounds
     bundle.summary = {
-        **summary,
+        "parsed": sum(counts.values()),  # clean keeps or counts every parsed row
+        "rejected": len(rejects),
+        "rejects": rejects,
+        "cleaning": counts,
+        "vocabulary": list(vocab),
         "feature_count": int(bundle.series.shape[1]),
         "window": n,
         "horizon": horizon,
         "ratios": list(SPLIT_RATIOS),
         "split_rows": dict(zip(SPLITS, (train_end, val_end - train_end,
                                         len(bundle.series) - val_end))),
-        "window_counts": {name: int(len(bundle.starts[name])) for name in SPLITS},
+        "window_counts": {name: len(getattr(bundle, name).windows) for name in SPLITS},
     }
     return bundle
 

@@ -1,9 +1,1 @@
 """Bundled JSON schemas for the artifacts the CLI emits."""
-
-import json
-from importlib import resources
-
-
-def load(name: str) -> dict:
-    path = resources.files(__package__).joinpath(f"{name}.schema.json")
-    return json.loads(path.read_text(encoding="utf-8"))

@@ -1,4 +1,4 @@
-"""Reach check: the CLI tests run every statement of the ``metroflow`` package.
+"""Reach check: ``cli.main`` runs every statement of the ``metroflow`` package.
 
 A pytest plugin, loaded only when asked for::
 
@@ -7,8 +7,10 @@ A pytest plugin, loaded only when asked for::
 ``tests/test_cli.py`` drives the program through ``cli.main``.  From the
 start of the session, before the tests import the package, the plugin
 traces the package's lines with ``sys.settrace`` and ``threading.settrace``.
-At the end it fails the session when an executable statement never ran,
-apart from three kinds:
+A line counts as run only inside a ``cli.main`` call, or in a module or
+class body as the import executes it: a package function that only a test
+calls goes unreached.  At the end the plugin fails the session when an
+executable statement never ran, apart from three kinds:
 
 - a ``raise``;
 - a statement in a block that ends in a ``raise``, and everything inside it;
@@ -20,6 +22,7 @@ entry fails the session too, so the list cannot outlive the code it names.
 
 import ast
 import dis
+import inspect
 import sys
 import threading
 from importlib.util import find_spec
@@ -107,16 +110,33 @@ class Reach:
     def __init__(self, package: Path):
         self.package = package
         self.prefix = f"{package}/"
-        self.hits = set()  # (file name, line) of every traced line event
+        self.cli = f"{package}/cli.py"
+        self.depth = 0  # cli.main calls now running
+        self.hits = set()  # (file name, line) of every counted line event
         self.findings = []
 
     def _call(self, frame, event, arg):
-        return self._line if frame.f_code.co_filename.startswith(self.prefix) else None
+        code = frame.f_code
+        if not code.co_filename.startswith(self.prefix):
+            return None
+        if code.co_filename == self.cli and code.co_name == "main":
+            self.depth += 1
+            return self._main
+        # a frame without CO_OPTIMIZED runs a module or class body
+        if self.depth or not code.co_flags & inspect.CO_OPTIMIZED:
+            return self._line
+        return None
 
     def _line(self, frame, event, arg):
         if event == "line":
             self.hits.add((frame.f_code.co_filename, frame.f_lineno))
         return self._line
+
+    def _main(self, frame, event, arg):
+        self._line(frame, event, arg)
+        if event == "return":  # also sent when an exception leaves the frame
+            self.depth -= 1
+        return self._main
 
     def start(self) -> None:
         threading.settrace(self._call)

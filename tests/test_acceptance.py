@@ -183,7 +183,7 @@ def test_pipeline_facts(mitv_bundle):
     assert mitv_bundle.summary["parsed"] == 48205
     for name in ("train", "val", "test"):
         ds = getattr(mitv_bundle, name)
-        starts = mitv_bundle.starts[name]
+        starts = ds.windows.starts
         assert len(starts) > 0
         window_last = mitv_bundle.times[starts + mitv_bundle.window - 1]
         target_first = ds.target_times[:, 0]

@@ -10,13 +10,14 @@ import re
 import subprocess
 import sys
 from datetime import datetime, timedelta
+from importlib import resources
 
 import numpy as np
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from metroflow import cli, schemas
+from metroflow import cli
 from metroflow.data import SPLITS, load_cache
 from metroflow.serialize import read_blob, write_blob
 
@@ -47,6 +48,12 @@ def run(*args) -> int:
     return cli.main([str(a) for a in args])
 
 
+def schema(name: str) -> dict:
+    """The JSON schema shipped in ``metroflow/schemas/`` for one artifact."""
+    path = resources.files("metroflow.schemas").joinpath(f"{name}.schema.json")
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -63,7 +70,7 @@ class TestPrepare:
         assert (out / "dataset.bin").exists()
         summary = json.loads((out / "prepare_summary.json").read_text())
         assert summary["parsed"] == 140
-        jsonschema.validate(summary, schemas.load("prepare_summary"))
+        jsonschema.validate(summary, schema("prepare_summary"))
 
     def test_rerun_byte_identical(self, workspace, tmp_path):
         first = (workspace["out"] / "dataset.bin").read_bytes()
@@ -138,10 +145,10 @@ class TestTrain:
         out = workspace["out"]
         assert (out / "model_lstm_attention.bin").exists()
         report = json.loads((out / "train_report_lstm_attention.json").read_text())
-        jsonschema.validate(report, schemas.load("train_report"))
+        jsonschema.validate(report, schema("train_report"))
         assert len(report["epochs"]) == 1
         timing = json.loads((out / "train_timing_lstm_attention.json").read_text())
-        jsonschema.validate(timing, schemas.load("timing"))
+        jsonschema.validate(timing, schema("timing"))
 
     def test_same_seed_identical_report(self, workspace, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -321,7 +328,7 @@ class TestEvaluate:
         assert run("evaluate", "--model", "lstm_attention", "--out", out,
                    "--split", "test", "--raw") == 0
         payload = json.loads((out / "evaluation_lstm_attention.json").read_text())
-        jsonschema.validate(payload, schemas.load("evaluation"))
+        jsonschema.validate(payload, schema("evaluation"))
         assert payload["raw"]["mae"] > payload["standardized"]["mae"]
 
     def test_metric_identity(self, workspace):
@@ -373,7 +380,7 @@ class TestEvaluate:
         new = workspace["out"] / "dataset.bin"
         arrays, meta = read_blob(new)
         bundle = load_cache(new)
-        arrays.update({f"starts_{name}": bundle.starts[name].astype(np.float64)
+        arrays.update({f"starts_{name}": getattr(bundle, name).windows.starts.astype(np.float64)
                        for name in SPLITS})
         old = tmp_path / "old.bin"
         write_blob(old, arrays, {**meta, "bounds": list(bundle.bounds)})
@@ -515,7 +522,7 @@ class TestCompare:
 
     def test_rows_sorted_and_identity(self, compared):
         payload = json.loads((compared / "comparison.json").read_text())
-        jsonschema.validate(payload, schemas.load("comparison"))
+        jsonschema.validate(payload, schema("comparison"))
         maes = [row["ours"]["mae"] for row in payload["rows"]]
         assert maes == sorted(maes)
         for row in payload["rows"]:
@@ -530,7 +537,7 @@ class TestCompare:
     def test_per_model_reports(self, compared):
         for kind in ("mstim", "lstm_attention", "cnn_attention", "lstm_cnn"):
             report = json.loads((compared / f"train_report_{kind}.json").read_text())
-            jsonschema.validate(report, schemas.load("train_report"))
+            jsonschema.validate(report, schema("train_report"))
 
     def test_repeat_run_byte_identical(self, compared, workspace, tmp_path):
         assert run("compare", "--out", tmp_path, "--data",

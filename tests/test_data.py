@@ -80,16 +80,16 @@ def write_csv(path, hours=120, gap_after=None):
 class TestParse:
     def test_round_trip_counts(self, tmp_path):
         path = write_csv(tmp_path / "ok.csv", hours=50)
-        result = parse_csv(path)
-        assert len(result.columns["date_time"]) == 50
-        assert result.rejects == []
+        columns, rejects = parse_csv(path)
+        assert len(columns["date_time"]) == 50
+        assert rejects == []
 
     def test_field_types(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text(HEADER + "\n" +
                         "None,288.28,0.0,0.0,40,Clouds,scattered clouds,"
                         "2012-10-02 09:00:00,5545\n")
-        c = parse_csv(path).columns
+        c, _ = parse_csv(path)
         assert c["temp"][0] == pytest.approx(288.28)
         assert c["traffic_volume"][0] == 5545
         assert c["date_time"][0] == (datetime(2012, 10, 2, 9, 0, 0) - EPOCH).total_seconds()
@@ -99,9 +99,9 @@ class TestParse:
     def test_empty_body(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(HEADER + "\n")
-        result = parse_csv(path)
-        assert all(len(col) == 0 for col in result.columns.values())
-        assert result.rejects == []
+        columns, rejects = parse_csv(path)
+        assert all(len(col) == 0 for col in columns.values())
+        assert rejects == []
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -134,10 +134,10 @@ class TestParse:
             "None,not-a-number,0.0,0.0,40,Clouds,x,2016-01-01 01:00:00,100",
             csv_row(2),
         ]) + "\n")
-        result = parse_csv(path)
-        assert len(result.columns["date_time"]) == 2
-        assert len(result.rejects) == 1
-        assert result.rejects[0]["line"] == 3
+        columns, rejects = parse_csv(path)
+        assert len(columns["date_time"]) == 2
+        assert len(rejects) == 1
+        assert rejects[0]["line"] == 3
 
     def test_reject_reasons(self, tmp_path):
         path = tmp_path / "invalid.csv"
@@ -151,13 +151,13 @@ class TestParse:
             "None,280,inf,0,40,Clouds,x,2016-01-01 05:00:00,10",
             "None,280,0,-inf,40,Clouds,x,2016-01-01 06:00:00,10",
         ]) + "\n")
-        result = parse_csv(path)
-        assert len(result.columns["date_time"]) == 0
-        reasons = " | ".join(r["reason"] for r in result.rejects)
+        columns, rejects = parse_csv(path)
+        assert len(columns["date_time"]) == 0
+        reasons = " | ".join(r["reason"] for r in rejects)
         assert "traffic_volume" in reasons
         assert "clouds_all" in reasons
-        assert len(result.rejects) == 7
-        assert result.rejects[4:] == [
+        assert len(rejects) == 7
+        assert rejects[4:] == [
             {"line": 6, "reason": "non-finite temp"},
             {"line": 7, "reason": "non-finite rain_1h"},
             {"line": 8, "reason": "non-finite snow_1h"},
@@ -166,9 +166,9 @@ class TestParse:
     def test_volume_too_large_for_float_rejected(self, tmp_path):
         path = tmp_path / "huge.csv"
         path.write_text("\n".join([HEADER, csv_row(0, volume="9" * 400), csv_row(1)]) + "\n")
-        result = parse_csv(path)
-        assert result.rejects == [{"line": 2, "reason": "int too large to convert to float"}]
-        assert len(result.columns["date_time"]) == 1
+        columns, rejects = parse_csv(path)
+        assert rejects == [{"line": 2, "reason": "int too large to convert to float"}]
+        assert len(columns["date_time"]) == 1
 
     @pytest.mark.parametrize("body", [
         # an unclosed quote runs past the csv module's field size limit
@@ -184,85 +184,88 @@ class TestParse:
 
 class TestClean:
     def test_temp_sentinel_dropped(self):
-        result = clean(columns(row(0, temp=0.0), row(1)))
-        assert len(result.columns["date_time"]) == 1
-        assert result.dropped_temperature == 1
+        kept, counts = clean(columns(row(0, temp=0.0), row(1)))
+        assert len(kept["date_time"]) == 1
+        assert counts["dropped_temperature"] == 1
 
     def test_extreme_rain_dropped(self):
-        result = clean(columns(row(0, rain=9831.3), row(1)))
-        assert len(result.columns["date_time"]) == 1
-        assert result.dropped_rain == 1
+        kept, counts = clean(columns(row(0, rain=9831.3), row(1)))
+        assert len(kept["date_time"]) == 1
+        assert counts["dropped_rain"] == 1
 
     def test_duplicate_keeps_first(self):
-        result = clean(columns(row(0, volume=111), row(0, volume=222), row(1)))
-        assert result.duplicate_timestamps == 1
-        assert result.columns["traffic_volume"][0] == 111
+        kept, counts = clean(columns(row(0, volume=111), row(0, volume=222), row(1)))
+        assert counts["duplicate_timestamps"] == 1
+        assert kept["traffic_volume"][0] == 111
         # out of order: the first row at hour 5 wins, and time order follows
-        result = clean(columns(row(5, volume=111), row(1), row(5, volume=222)))
-        assert result.duplicate_timestamps == 1
-        np.testing.assert_array_equal(result.columns["traffic_volume"], [1000, 111])
+        kept, counts = clean(columns(row(5, volume=111), row(1), row(5, volume=222)))
+        assert counts["duplicate_timestamps"] == 1
+        np.testing.assert_array_equal(kept["traffic_volume"], [1000, 111])
 
     def test_sorted_output(self):
-        result = clean(columns(row(5), row(1), row(3)))
-        times = result.columns["date_time"].tolist()
+        kept, _ = clean(columns(row(5), row(1), row(3)))
+        times = kept["date_time"].tolist()
         assert times == sorted(times)
 
     def test_idempotent(self):
-        once = clean(columns(row(0, temp=0.0), row(2), row(2), row(1)))
-        twice = clean(once.columns)
-        assert twice.columns.keys() == once.columns.keys()
-        for name, col in once.columns.items():
-            np.testing.assert_array_equal(twice.columns[name], col)
-        assert twice.dropped_temperature == 0
-        assert twice.duplicate_timestamps == 0
+        once, counts = clean(columns(row(0, temp=0.0), row(2), row(2), row(1)))
+        assert counts == {"kept": 2, "dropped_temperature": 1, "dropped_rain": 0,
+                          "duplicate_timestamps": 1}
+        twice, counts = clean(once)
+        assert twice.keys() == once.keys()
+        for name, col in once.items():
+            np.testing.assert_array_equal(twice[name], col)
+        assert counts["dropped_temperature"] == 0
+        assert counts["duplicate_timestamps"] == 0
 
 
 class TestEncode:
     def test_hour_zero(self):
-        e = encode(columns(row(0)), vocab=("Clouds",))
-        assert e.features[0, 4] == pytest.approx(0.0, abs=1e-12)
-        assert e.features[0, 5] == pytest.approx(1.0, abs=1e-12)
+        f = encode(columns(row(0)), vocab=("Clouds",))
+        assert f[0, 4] == pytest.approx(0.0, abs=1e-12)
+        assert f[0, 5] == pytest.approx(1.0, abs=1e-12)
 
     def test_hour_six(self):
-        e = encode(columns(row(6)), vocab=("Clouds",))
-        assert e.features[0, 4] == pytest.approx(1.0, abs=1e-12)
-        assert e.features[0, 5] == pytest.approx(0.0, abs=1e-12)
+        f = encode(columns(row(6)), vocab=("Clouds",))
+        assert f[0, 4] == pytest.approx(1.0, abs=1e-12)
+        assert f[0, 5] == pytest.approx(0.0, abs=1e-12)
 
     def test_cyclic_identity(self):
-        e = encode(columns(*(row(h) for h in range(170))), vocab=("Clouds",))
-        hour = e.features[:, 4] ** 2 + e.features[:, 5] ** 2
-        dow = e.features[:, 6] ** 2 + e.features[:, 7] ** 2
+        f = encode(columns(*(row(h) for h in range(170))), vocab=("Clouds",))
+        hour = f[:, 4] ** 2 + f[:, 5] ** 2
+        dow = f[:, 6] ** 2 + f[:, 7] ** 2
         np.testing.assert_allclose(hour, 1.0, atol=1e-12)
         np.testing.assert_allclose(dow, 1.0, atol=1e-12)
 
     def test_day_of_week_period(self):
         # 2016-01-01 is a Friday; one week later the encoding repeats
-        e = encode(columns(row(0), row(24 * 7)), vocab=("Clouds",))
-        np.testing.assert_allclose(e.features[0, 6:8], e.features[1, 6:8], atol=1e-12)
+        f = encode(columns(row(0), row(24 * 7)), vocab=("Clouds",))
+        np.testing.assert_allclose(f[0, 6:8], f[1, 6:8], atol=1e-12)
 
     def test_vocab_discovery_sorted(self):
         rows = [row(h, weather=w) for h, w in enumerate(["Rain", "Clear", "Rain"])]
         assert discover_vocab(columns(*rows)) == ("Clear", "Rain")
 
     def test_one_hot_block(self):
-        e = encode(columns(row(0, weather="Rain")), vocab=("Clear", "Rain"))
-        np.testing.assert_array_equal(e.features[0, 9:11], [0.0, 1.0])
+        f = encode(columns(row(0, weather="Rain")), vocab=("Clear", "Rain"))
+        np.testing.assert_array_equal(f[0, 9:11], [0.0, 1.0])
 
     def test_unknown_category_all_zero(self):
-        e = encode(columns(row(0, weather="Squall")), vocab=("Clear", "Rain"))
-        np.testing.assert_array_equal(e.features[0, 9:11], [0.0, 0.0])
+        f = encode(columns(row(0, weather="Squall")), vocab=("Clear", "Rain"))
+        np.testing.assert_array_equal(f[0, 9:11], [0.0, 0.0])
 
     def test_holiday_flag(self):
-        e = encode(columns(row(0, holiday="None"), row(1, holiday="New Years Day")),
+        f = encode(columns(row(0, holiday="None"), row(1, holiday="New Years Day")),
                    vocab=("Clouds",))
-        assert e.features[0, 8] == 0.0
-        assert e.features[1, 8] == 1.0
+        assert f[0, 8] == 0.0
+        assert f[1, 8] == 1.0
 
     def test_width_and_volume_last(self):
-        e = encode(columns(row(0, volume=1234)), vocab=("Clear", "Clouds", "Rain"))
-        assert e.features.shape == (1, 13)
-        assert e.features[0, -1] == 1234.0
-        assert e.features.shape[1] == 9 + len(e.vocab) + 1
+        vocab = ("Clear", "Clouds", "Rain")
+        f = encode(columns(row(0, volume=1234)), vocab=vocab)
+        assert f.shape == (1, 13)
+        assert f[0, -1] == 1234.0
+        assert f.shape[1] == 9 + len(vocab) + 1
 
     def test_cyclic_columns_match_scalar_formulas(self):
         # every hour of two weeks in each year 2012-2018: the array sin/cos
@@ -270,14 +273,14 @@ class TestEncode:
         # and weekday, which is what keeps prepared datasets byte-identical
         stamps = [datetime(year, year - 2011, 9) + timedelta(hours=h)
                   for year in range(2012, 2019) for h in range(14 * 24)]
-        e = encode(columns(*(row(0, start=when) for when in stamps)), vocab=("Clouds",))
+        f = encode(columns(*(row(0, start=when) for when in stamps)), vocab=("Clouds",))
         expected = []
         for when in stamps:
             hour_angle = 2.0 * np.pi * when.hour / 24.0
             dow_angle = 2.0 * np.pi * when.weekday() / 7.0
             expected.append([np.sin(hour_angle), np.cos(hour_angle),
                              np.sin(dow_angle), np.cos(dow_angle)])
-        np.testing.assert_array_equal(e.features[:, 4:8], np.array(expected))
+        np.testing.assert_array_equal(f[:, 4:8], np.array(expected))
 
 
 def hourly_series(length, vocab=("Clear", "Clouds"), seed=0):
@@ -287,84 +290,78 @@ def hourly_series(length, vocab=("Clear", "Clouds"), seed=0):
                 weather=vocab[h % len(vocab)],
                 volume=int(rng.integers(200, 6000)))
             for h in range(length)]
-    return encode(columns(*rows), vocab=vocab)
+    c = columns(*rows)
+    return encode(c, vocab), c["date_time"], vocab
 
 
 class TestSplitWindow:
     def test_counts_single_segment(self):
         # per split of length m: m - n - T + 1 windows
-        e = hourly_series(100)
-        b = split_and_window(e, n=6, horizon=1)
+        b = split_and_window(*hourly_series(100), n=6, horizon=1)
         assert len(b.train.windows) == 70 - 6 - 1 + 1
         assert len(b.val.windows) == 10 - 6 - 1 + 1
         assert len(b.test.windows) == 20 - 6 - 1 + 1
 
     def test_gap_breaks_windows(self):
         rows = [row(h) for h in range(40)] + [row(h + 12) for h in range(40, 100)]
-        e = encode(columns(*rows), vocab=("Clouds",))
-        b = split_and_window(e, n=6, horizon=1)
+        c = columns(*rows)
+        b = split_and_window(encode(c, ("Clouds",)), c["date_time"], ("Clouds",), n=6, horizon=1)
         # train rows 0..69 split at the gap into runs of 40 and 30
         assert len(b.train.windows) == (40 - 6) + (30 - 6)
 
     def test_no_window_straddles_split(self):
-        e = hourly_series(100)
-        b = split_and_window(e, n=6, horizon=2)
-        assert b.starts["train"].max() + 6 + 2 <= 70
-        assert b.starts["val"].min() >= 70
-        assert b.starts["val"].max() + 6 + 2 <= 80
-        assert b.starts["test"].min() >= 80
+        b = split_and_window(*hourly_series(100), n=6, horizon=2)
+        assert b.train.windows.starts.max() + 6 + 2 <= 70
+        assert b.val.windows.starts.min() >= 70
+        assert b.val.windows.starts.max() + 6 + 2 <= 80
+        assert b.test.windows.starts.min() >= 80
 
     def test_no_leakage_exhaustive(self):
-        e = hourly_series(120)
-        b = split_and_window(e, n=8, horizon=3)
+        b = split_and_window(*hourly_series(120), n=8, horizon=3)
         for name in ("train", "val", "test"):
             ds = getattr(b, name)
-            for i, s in enumerate(b.starts[name]):
+            for i, s in enumerate(ds.windows.starts):
                 window_times = b.times[s:s + 8]
                 assert window_times.max() < ds.target_times[i].min()
 
     def test_targets_are_volume_column(self):
-        e = hourly_series(100)
-        b = split_and_window(e, n=6, horizon=2)
-        s = b.starts["train"][0]
+        b = split_and_window(*hourly_series(100), n=6, horizon=2)
+        s = b.train.windows.starts[0]
         np.testing.assert_array_equal(b.train.targets[0], b.series[s + 6:s + 8, -1])
 
     def test_train_standardized(self):
-        e = hourly_series(400)
-        b = split_and_window(e, n=6, horizon=1)
+        features, times, vocab = hourly_series(400)
+        b = split_and_window(features, times, vocab, n=6, horizon=1)
         train_rows = b.series[:b.bounds[0]]
-        raw_train = e.features[:b.bounds[0]]
+        raw_train = features[:b.bounds[0]]
         varying = raw_train.std(axis=0) > 1e-12
         np.testing.assert_allclose(train_rows.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(train_rows[:, varying].std(axis=0), 1.0, atol=1e-9)
 
     def test_constant_column_guard(self):
         # snow_1h is identically zero here; the guard keeps it finite
-        e = hourly_series(100)
-        b = split_and_window(e, n=6, horizon=1)
+        b = split_and_window(*hourly_series(100), n=6, horizon=1)
         assert np.isfinite(b.series).all()
         assert b.stats.std[2] == 1.0
 
     def test_stats_fit_on_train_only(self):
-        e = hourly_series(100)
-        b = split_and_window(e, n=6, horizon=1)
-        expected = Stats.fit(e.features[:70])
+        features, times, vocab = hourly_series(100)
+        b = split_and_window(features, times, vocab, n=6, horizon=1)
+        expected = Stats.fit(features[:70])
         np.testing.assert_array_equal(b.stats.mean, expected.mean)
         np.testing.assert_array_equal(b.stats.std, expected.std)
 
     def test_short_series_rejected(self):
-        e = hourly_series(10)
         with pytest.raises(ConfigError):
-            split_and_window(e, n=12, horizon=1)
+            split_and_window(*hourly_series(10), n=12, horizon=1)
 
     def test_bad_window_rejected(self):
-        e = hourly_series(50)
         with pytest.raises(ConfigError):
-            split_and_window(e, n=0, horizon=1)
+            split_and_window(*hourly_series(50), n=0, horizon=1)
 
     def test_deterministic(self):
-        b1 = split_and_window(hourly_series(120), n=6, horizon=1)
-        b2 = split_and_window(hourly_series(120), n=6, horizon=1)
+        b1 = split_and_window(*hourly_series(120), n=6, horizon=1)
+        b2 = split_and_window(*hourly_series(120), n=6, horizon=1)
         np.testing.assert_array_equal(b1.train.windows[:], b2.train.windows[:])
         assert b1.data_hash == b2.data_hash
 
@@ -402,16 +399,16 @@ class TestWindows:
         assert w.nbytes == starts.nbytes
 
     def test_splits_match_per_start_slices(self):
-        b = split_and_window(hourly_series(120), n=8, horizon=2)
+        b = split_and_window(*hourly_series(120), n=8, horizon=2)
         for name in ("train", "val", "test"):
             ds = getattr(b, name)
-            assert len(ds.windows) == len(b.starts[name])
-            for i, s in enumerate(b.starts[name]):
+            assert len(ds.windows) == len(ds.targets) > 0
+            for i, s in enumerate(ds.windows.starts):
                 np.testing.assert_array_equal(ds.windows[i], b.series[s:s + 8])
 
     def test_load_cache_builds_views(self, tmp_path):
         cache = tmp_path / "data.bin"
-        save_cache(split_and_window(hourly_series(120), n=6, horizon=1), cache)
+        save_cache(split_and_window(*hourly_series(120), n=6, horizon=1), cache)
         loaded = load_cache(cache)
         for name in ("train", "val", "test"):
             windows = getattr(loaded, name).windows
@@ -421,10 +418,10 @@ class TestWindows:
 
 class TestDenormalize:
     def test_round_trip(self):
-        e = hourly_series(100)
-        b = split_and_window(e, n=6, horizon=1)
-        raw = e.features[:20, -1]
-        back = denormalize(b.stats.normalize(e.features[:20])[:, -1], b.stats)
+        features, times, vocab = hourly_series(100)
+        b = split_and_window(features, times, vocab, n=6, horizon=1)
+        raw = features[:20, -1]
+        back = denormalize(b.stats.normalize(features[:20])[:, -1], b.stats)
         np.testing.assert_allclose(back, raw, atol=1e-12 * max(1.0, np.abs(raw).max()))
 
     def test_zero_maps_to_mean(self):
@@ -494,7 +491,7 @@ class TestCache:
 
     def test_holds_only_the_primary_data(self, tmp_path):
         cache = tmp_path / "data.bin"
-        save_cache(split_and_window(hourly_series(120), n=6, horizon=1), cache)
+        save_cache(split_and_window(*hourly_series(120), n=6, horizon=1), cache)
         arrays, meta = read_blob(cache)
         assert set(arrays) == {"series", "times", "mean", "std"}
         # data_hash stays in the header for readers that skip the payload
@@ -511,15 +508,16 @@ class TestCache:
             assert loaded.data_hash == bundle.data_hash
             assert loaded.summary == bundle.summary
             for name in SPLITS:
-                np.testing.assert_array_equal(loaded.starts[name], bundle.starts[name])
-                assert loaded.starts[name].dtype == np.int64
+                starts = getattr(loaded, name).windows.starts
+                np.testing.assert_array_equal(starts, getattr(bundle, name).windows.starts)
+                assert starts.dtype == np.int64
                 np.testing.assert_array_equal(getattr(loaded, name).targets,
                                               getattr(bundle, name).targets)
         assert read_blob(old)[1]["data_hash"] == load_cache(old).data_hash
 
     def test_stale_hash_not_trusted(self, tmp_path):
         cache = tmp_path / "data.bin"
-        bundle = split_and_window(hourly_series(120), n=6, horizon=1)
+        bundle = split_and_window(*hourly_series(120), n=6, horizon=1)
         save_cache(bundle, cache)
         arrays, meta = read_blob(cache)
         arrays["mean"][-1] += 1000.0  # finite, so only the hash can tell
@@ -529,7 +527,7 @@ class TestCache:
 
     def test_window_longer_than_series_rejected(self, tmp_path):
         cache = tmp_path / "data.bin"
-        save_cache(split_and_window(hourly_series(40), n=6, horizon=1), cache)
+        save_cache(split_and_window(*hourly_series(40), n=6, horizon=1), cache)
         arrays, meta = read_blob(cache)
         write_blob(cache, arrays, {**meta, "window": 40})
         with pytest.raises(SchemaError, match="cannot fit one window of 40\\+1 steps"):
@@ -604,7 +602,7 @@ class TestCache:
     def test_load_cache_builds_no_window_copy(self, tmp_path):
         import tracemalloc
         cache = tmp_path / "data.bin"
-        bundle = split_and_window(hourly_series(3000), n=24, horizon=1)
+        bundle = split_and_window(*hourly_series(3000), n=24, horizon=1)
         save_cache(bundle, cache)
         tracemalloc.start()
         try:
@@ -621,7 +619,8 @@ def write_previous_layout(bundle, path):
     the split bounds and data_hash."""
     arrays = {"series": bundle.series, "times": bundle.times,
               "mean": bundle.stats.mean, "std": bundle.stats.std,
-              **{f"starts_{name}": bundle.starts[name].astype(np.float64) for name in SPLITS}}
+              **{f"starts_{name}": getattr(bundle, name).windows.starts.astype(np.float64)
+                 for name in SPLITS}}
     meta = {"kind": DATASET_FORMAT, "window": bundle.window, "horizon": bundle.horizon,
             "vocab": list(bundle.vocab), "bounds": list(bundle.bounds),
             "summary": bundle.summary, "data_hash": bundle.data_hash}

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from types import SimpleNamespace
 
-from metroflow.data import SPLITS, EncodedSeries, Windows, split_and_window
+from metroflow.data import SPLITS, Windows, split_and_window
 from metroflow.errors import ConfigError, DimensionError, NumericError, UsageError
 from metroflow.models import ModelSpec, build_model
 from metroflow.tensor import Tensor
@@ -240,9 +240,7 @@ class TestTrainLoop:
         rng = np.random.default_rng(8)
         times = np.arange(160) * 3600.0
         times[70:] += 12 * 3600.0  # a gap the window starts skip
-        bundle = split_and_window(
-            EncodedSeries(features=rng.normal(size=(160, 5)), times=times, vocab=()),
-            n=8, horizon=1)
+        bundle = split_and_window(rng.normal(size=(160, 5)), times, (), n=8, horizon=1)
         assert isinstance(bundle.train.windows, Windows)
 
         def materialize(ds):
