@@ -16,7 +16,6 @@ from .training import (
     MetricTriple,
     TrainConfig,
     TrainReport,
-    compare,
     metrics,
     mse_loss,
     train,
@@ -41,7 +40,6 @@ __all__ = [
     "TrainReport",
     "UsageError",
     "build_model",
-    "compare",
     "denormalize",
     "load_cache",
     "metrics",

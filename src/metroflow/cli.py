@@ -38,10 +38,13 @@ from .errors import (
 from .models import KINDS, ForecastModel, ModelSpec, build_model
 from .plot import line_chart
 from .serialize import atomic_write
-from .training import TrainConfig, compare, metrics, train
+from .training import ComparisonResult, TrainConfig, metrics, train
 
 DEFAULT_OUT = "metroflow_out"
 DATASET_FILE = "dataset.bin"
+
+#: Test windows a plot draws: one week of hours.
+PLOT_STEPS = 168
 
 #: Settings passed through to TrainConfig and ModelSpec (``seed`` feeds both).
 #: Their defaults, and those of prepare's window and horizon, are the
@@ -179,11 +182,9 @@ def load_compatible(checkpoint: Path, dataset: Path) -> tuple:
     return model, bundle
 
 
-def test_slice_plot(model: ForecastModel, bundle, kind: str, steps: int = 168) -> str:
+def test_slice_plot(model: ForecastModel, bundle) -> str:
     ds = bundle.test
-    if len(ds.windows) == 0:
-        raise UsageError("test split has no windows to plot")
-    k = min(steps, len(ds.windows))
+    k = min(PLOT_STEPS, len(ds.windows))
     preds = model.predict(ds.windows[:k])[:, 0]
     labels = [format_time(t)[5:16] for t in ds.target_times[:k, 0]]
     return line_chart(
@@ -192,9 +193,20 @@ def test_slice_plot(model: ForecastModel, bundle, kind: str, steps: int = 168) -
             ("predicted", denormalize(preds, bundle.stats)),
         ],
         x_labels=labels,
-        title=f"{kind}: predicted vs actual, {k}-step test slice",
+        title=f"{model.spec.kind}: predicted vs actual, {k}-step test slice",
         y_label="vehicles/hour",
     )
+
+
+def write_trained(out: Path, model: ForecastModel, bundle, report, plot: bool) -> None:
+    """One trained kind's files: its checkpoint, report, timing sidecar and,
+    with ``plot``, its test-slice SVG."""
+    kind = model.spec.kind
+    model.save(out / f"model_{kind}.bin", data_hash=bundle.data_hash)
+    write_json(out / f"train_report_{kind}.json", report.to_dict())
+    write_json(out / f"train_timing_{kind}.json", {kind: report.elapsed_seconds})
+    if plot:
+        atomic_write(out / f"plot_{kind}.svg", test_slice_plot(model, bundle).encode("utf-8"))
 
 
 def cmd_prepare(settings: Settings) -> int:
@@ -224,12 +236,7 @@ def cmd_train(settings: Settings) -> int:
     model = build_model(model_spec_for(settings, bundle, kind))
     report = train(model, bundle, config)
     out = settings.out_dir()
-    model.save(out / f"model_{kind}.bin", data_hash=bundle.data_hash)
-    write_json(out / f"train_report_{kind}.json", report.to_dict())
-    write_json(out / f"train_timing_{kind}.json", {kind: report.elapsed_seconds})
-    if settings.get("plot"):
-        plot = test_slice_plot(model, bundle, kind)
-        atomic_write(out / f"plot_{kind}.svg", plot.encode("utf-8"))
+    write_trained(out, model, bundle, report, settings.get("plot"))
     t = report.test
     print(f"{kind}: test mae={t.mae:.4f} mse={t.mse:.4f} rmse={t.rmse:.4f} "
           f"after {config.epochs} epochs")
@@ -269,17 +276,17 @@ def cmd_evaluate(settings: Settings) -> int:
 def cmd_compare(settings: Settings) -> int:
     config = build_train_config(settings)
     bundle = load_cache(settings.dataset_path())
-    specs = [model_spec_for(settings, bundle, kind) for kind in KINDS]
-    result = compare(specs, bundle, config)
+    # every kind trains before any file is written, so a failure leaves none
+    models = {kind: build_model(model_spec_for(settings, bundle, kind)) for kind in KINDS}
+    reports = {kind: train(model, bundle, config) for kind, model in models.items()}
     out = settings.out_dir()
+    for kind, model in models.items():
+        write_trained(out, model, bundle, reports[kind], settings.get("plot"))
+    result = ComparisonResult(reports)
     atomic_write(out / "comparison.csv", result.to_csv().encode("utf-8"))
     text = result.to_text()
     atomic_write(out / "comparison.txt", text.encode("utf-8"))
     write_json(out / "comparison.json", result.to_dict())
-    write_json(out / "timing.json",
-               {k: r.elapsed_seconds for k, r in result.reports.items()})
-    for kind, report in result.reports.items():
-        write_json(out / f"train_report_{kind}.json", report.to_dict())
     print(text, end="")
     print(f"artifacts written to {out}")
     return 0

@@ -78,10 +78,6 @@ class ModelSpec:
         d["kernel_sizes"] = list(self.kernel_sizes)
         return d
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        return cls(**d)
-
 
 class ForecastModel:
     """One built architecture: ordered layers plus a parameter registry."""
@@ -163,7 +159,7 @@ class ForecastModel:
     def load(cls, path) -> tuple["ForecastModel", dict]:
         arrays, meta = read_blob(path)
         try:
-            spec = ModelSpec.from_dict(meta.get("model_spec"))
+            spec = ModelSpec(**meta.get("model_spec"))
         except (TypeError, ConfigError) as exc:
             raise SchemaError(f"{path} has no valid model_spec: {exc}") from exc
         if not isinstance(meta.get("data_hash"), str):

@@ -7,24 +7,25 @@ from html import escape
 import numpy as np
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd")
+WIDTH, HEIGHT = 960, 320
 
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def line_chart(series, x_labels=None, title="", y_label="", width=960, height=320) -> str:
+def line_chart(series, x_labels, title: str, y_label: str) -> str:
     """Render named series as one SVG document.
 
     ``series`` is a list of (label, values) pairs drawn over a shared index
-    axis; ``x_labels``, when given, holds one label per point.  Output is
-    deterministic for identical inputs.
+    axis; ``x_labels`` holds one label per point.  Output is deterministic
+    for identical inputs.
     """
     if not series:
         raise ValueError("line_chart needs at least one series")
     left, right, top, bottom = 70, 24, 40, 48
-    plot_w = width - left - right
-    plot_h = height - top - bottom
+    plot_w = WIDTH - left - right
+    plot_h = HEIGHT - top - bottom
     lengths = {len(v) for _, v in series}
     count = max(lengths)
     values = np.concatenate([np.asarray(v, dtype=np.float64) for _, v in series])
@@ -43,15 +44,12 @@ def line_chart(series, x_labels=None, title="", y_label="", width=960, height=32
         return top + plot_h * (1.0 - (v - lo) / (hi - lo))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2:.0f}" y="22" text-anchor="middle" font-size="14" '
+        f'fill="#333">{escape(title)}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.0f}" y="22" text-anchor="middle" font-size="14" '
-            f'fill="#333">{escape(title)}</text>'
-        )
 
     ticks = np.linspace(lo, hi, 5)
     for tick in ticks:
@@ -64,22 +62,20 @@ def line_chart(series, x_labels=None, title="", y_label="", width=960, height=32
             f'<text x="{left - 8}" y="{_fmt(y + 4)}" text-anchor="end" font-size="11" '
             f'fill="#555">{tick:.4g}</text>'
         )
-    if y_label:
-        cy = top + plot_h / 2.0
-        parts.append(
-            f'<text x="16" y="{_fmt(cy)}" font-size="11" fill="#555" '
-            f'transform="rotate(-90 16 {_fmt(cy)})" text-anchor="middle">'
-            f'{escape(y_label)}</text>'
-        )
+    cy = top + plot_h / 2.0
+    parts.append(
+        f'<text x="16" y="{_fmt(cy)}" font-size="11" fill="#555" '
+        f'transform="rotate(-90 16 {_fmt(cy)})" text-anchor="middle">'
+        f'{escape(y_label)}</text>'
+    )
 
-    if x_labels:
-        step = max(1, (count - 1) // 6) if count > 1 else 1
-        for i in range(0, count, step):
-            x = x_at(i, count)
-            parts.append(
-                f'<text x="{_fmt(x)}" y="{height - 16}" text-anchor="middle" '
-                f'font-size="10" fill="#555">{escape(str(x_labels[i]))}</text>'
-            )
+    step = max(1, (count - 1) // 6) if count > 1 else 1
+    for i in range(0, count, step):
+        x = x_at(i, count)
+        parts.append(
+            f'<text x="{_fmt(x)}" y="{HEIGHT - 16}" text-anchor="middle" '
+            f'font-size="10" fill="#555">{escape(str(x_labels[i]))}</text>'
+        )
 
     parts.append(
         f'<rect x="{left}" y="{top}" width="{plot_w}" height="{plot_h}" '

@@ -1,4 +1,4 @@
-"""Mini-batch training loop, the Adam optimizer, loss, metrics and model comparison.
+"""Mini-batch training loop, the Adam optimizer, loss, metrics and the comparison table.
 
 One recipe trains every model: Adam, a global gradient-norm clip at
 ``GRAD_CLIP`` and mini-batches shuffled every epoch.
@@ -14,7 +14,7 @@ import numpy as np
 
 from .data import SPLITS
 from .errors import ConfigError, DimensionError, NumericError, UsageError
-from .models import ForecastModel, ModelSpec, _is_int, build_model, check_seed
+from .models import KINDS, ForecastModel, _is_int, check_seed
 from .tensor import Tensor
 
 #: Published results for these four architectures on the same dataset,
@@ -216,66 +216,40 @@ def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
 
 
 @dataclass
-class ComparisonRow:
-    kind: str
-    ours: MetricTriple
-    reference: dict | None
-
-
-@dataclass
 class ComparisonResult:
-    rows: list  # ComparisonRow, sorted by our MAE
     reports: dict  # kind -> TrainReport
+
+    @property
+    def rows(self) -> list:
+        """(kind, test metrics, published reference) sorted by test MAE, ties in
+        ``KINDS`` order."""
+        kinds = sorted((k for k in KINDS if k in self.reports),
+                       key=lambda k: self.reports[k].test.mae)
+        return [(k, self.reports[k].test, PUBLISHED_REFERENCE[k]) for k in kinds]
 
     def to_dict(self) -> dict:
         return {
             "note": REFERENCE_NOTE,
-            "rows": [
-                {"model": r.kind, "ours": r.ours.to_dict(), "reference": r.reference}
-                for r in self.rows
-            ],
+            "rows": [{"model": kind, "ours": ours.to_dict(), "reference": ref}
+                     for kind, ours, ref in self.rows],
             "reports": {k: r.to_dict() for k, r in self.reports.items()},
         }
 
     def to_csv(self) -> str:
         lines = ["model,mae,mse,rmse,reference_mae,reference_mse,reference_rmse"]
-        for r in self.rows:
-            ref = r.reference or {}
-            lines.append(
-                f"{r.kind},{r.ours.mae:.6f},{r.ours.mse:.6f},{r.ours.rmse:.6f},"
-                f"{ref.get('mae', '')},{ref.get('mse', '')},{ref.get('rmse', '')}"
-            )
+        for kind, ours, ref in self.rows:
+            lines.append(f"{kind},{ours.mae:.6f},{ours.mse:.6f},{ours.rmse:.6f},"
+                         f"{ref['mae']},{ref['mse']},{ref['rmse']}")
         return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
         header = f"{'model':<16} {'MAE':>8} {'MSE':>8} {'RMSE':>8}   {'ref MAE':>8} {'ref MSE':>8} {'ref RMSE':>8}"
         lines = [header, "-" * len(header)]
-        for r in self.rows:
-            ref = r.reference or {}
-            fmt = lambda v: f"{v:>8.4f}" if v is not None else f"{'-':>8}"
+        for kind, ours, ref in self.rows:
             lines.append(
-                f"{r.kind:<16} {r.ours.mae:>8.4f} {r.ours.mse:>8.4f} {r.ours.rmse:>8.4f}   "
-                f"{fmt(ref.get('mae'))} {fmt(ref.get('mse'))} {fmt(ref.get('rmse'))}"
+                f"{kind:<16} {ours.mae:>8.4f} {ours.mse:>8.4f} {ours.rmse:>8.4f}   "
+                f"{ref['mae']:>8.4f} {ref['mse']:>8.4f} {ref['rmse']:>8.4f}"
             )
         lines.append("")
         lines.append(REFERENCE_NOTE)
         return "\n".join(lines) + "\n"
-
-
-def compare(specs: list[ModelSpec], datasets, config: TrainConfig) -> ComparisonResult:
-    """Train each spec under identical config and emit a table sorted by MAE."""
-    if not specs:
-        raise UsageError("compare needs at least one model spec")
-    kinds = [spec.kind for spec in specs]
-    if len(set(kinds)) != len(kinds):
-        raise UsageError(f"compare takes each model kind once, got {kinds}")
-    reports = {}
-    rows = []
-    for spec in specs:
-        model = build_model(spec)
-        report = train(model, datasets, config)
-        reports[spec.kind] = report
-        rows.append(ComparisonRow(kind=spec.kind, ours=report.test,
-                                  reference=PUBLISHED_REFERENCE.get(spec.kind)))
-    rows.sort(key=lambda r: r.ours.mae)
-    return ComparisonResult(rows=rows, reports=reports)

@@ -89,7 +89,7 @@ def statements(path: Path, module: str) -> list:
     found = []
 
     def walk(block, scope, raises, keys):
-        raises = raises or isinstance(block[-1], ast.Raise)
+        raises = raises or bool(block) and isinstance(block[-1], ast.Raise)  # a module may be empty
         for node in block:
             text = ast.get_source_segment(source, node).splitlines()[0].strip()
             inner = f"{scope}.{node.name}" if isinstance(node, _DEFS) else scope

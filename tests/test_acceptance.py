@@ -23,11 +23,12 @@ from metroflow.tensor import Tensor, softmax
 from metroflow.training import (
     PUBLISHED_REFERENCE,
     Adam,
+    ComparisonResult,
     TrainConfig,
     clip_grad_norm,
-    compare,
     metrics,
     mse_loss,
+    train,
 )
 
 _ENV = os.environ.get("METROFLOW_DATA")
@@ -158,11 +159,12 @@ def test_overfit_sanity_all_models():
 def test_desk_scale_full_dataset(mitv_bundle):
     """Default-config training beats the train-mean predictor on every model."""
     config = TrainConfig()  # 10 epochs, lr 0.001, batch 32
-    specs = [ModelSpec(kind=kind, input_features=mitv_bundle.input_features,
-                       window=mitv_bundle.window, horizon=mitv_bundle.horizon,
-                       seed=0)
-             for kind in KINDS]
-    result = compare(specs, mitv_bundle, config)
+    reports = {kind: train(build_model(ModelSpec(
+                   kind=kind, input_features=mitv_bundle.input_features,
+                   window=mitv_bundle.window, horizon=mitv_bundle.horizon, seed=0)),
+                   mitv_bundle, config)
+               for kind in KINDS}
+    result = ComparisonResult(reports)
     for kind, report in result.reports.items():
         assert report.test.mse < 1.0, f"{kind}: test MSE {report.test.mse:.4f}"
         first, last = report.epochs[0], report.epochs[-1]

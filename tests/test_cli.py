@@ -505,10 +505,16 @@ def test_wrong_kind_path_exit_two(workspace, tmp_path, capsys, flag):
 
 @pytest.fixture(scope="module")
 def compared(workspace, tmp_path_factory):
+    """A 1-epoch compare with a config file's ``plot: true``, into a directory
+    where a 2-epoch mstim train wrote its files first."""
     out = tmp_path_factory.mktemp("cmp")
-    code = run("compare", "--out", out, "--data",
-               workspace["out"] / "dataset.bin", "--seed", "5", *SMALL)
-    assert code == 0
+    data = workspace["out"] / "dataset.bin"
+    assert run("train", "--model", "mstim", "--out", out, "--data", data, "--seed", "5",
+               *SMALL, "--epochs", "2") == 0
+    cfg = out.parent / "plot.json"
+    cfg.write_text('{"plot": true}')
+    assert run("compare", "--out", out, "--data", data, "--config", cfg, "--seed", "5",
+               *SMALL) == 0
     return out
 
 
@@ -544,6 +550,41 @@ class TestCompare:
                    workspace["out"] / "dataset.bin", "--seed", "5", *SMALL) == 0
         for name in ("comparison.csv", "comparison.txt", "comparison.json"):
             assert (tmp_path / name).read_bytes() == (compared / name).read_bytes()
+
+    def test_evaluate_matches_report_and_table(self, compared, workspace):
+        # compare replaces the checkpoint and report of the 2-epoch mstim train
+        payload = json.loads((compared / "comparison.json").read_text())
+        rows = {row["model"]: row["ours"] for row in payload["rows"]}
+        for kind in KINDS:
+            assert run("evaluate", "--model", kind, "--out", compared,
+                       "--data", workspace["out"] / "dataset.bin") == 0
+            evaluation = json.loads((compared / f"evaluation_{kind}.json").read_text())
+            report = json.loads((compared / f"train_report_{kind}.json").read_text())
+            assert evaluation["standardized"] == report["test"] == rows[kind]
+            assert len(report["epochs"]) == 1
+
+    def test_files_match_train(self, compared, workspace, tmp_path):
+        assert run("train", "--model", "cnn_attention", "--out", tmp_path, "--plot", "--data",
+                   workspace["out"] / "dataset.bin", "--seed", "5", *SMALL) == 0
+        for name in ("model_cnn_attention.bin", "train_report_cnn_attention.json",
+                     "plot_cnn_attention.svg"):
+            assert (tmp_path / name).read_bytes() == (compared / name).read_bytes(), name
+
+    def test_timing_sidecars(self, compared):
+        assert not (compared / "timing.json").exists()
+        for kind in KINDS:
+            timing = json.loads((compared / f"train_timing_{kind}.json").read_text())
+            jsonschema.validate(timing, schema("timing"))
+            assert set(timing) == {kind}
+
+    def test_diverging_compare_exit_one_without_files(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run("compare", "--out", out, "--data", workspace["out"] / "dataset.bin",
+                   "--lr", "1e300", *SMALL)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert list(out.glob("*")) == []
 
 
 class TestPredict:

@@ -85,7 +85,7 @@ class TestBuild:
 
     def test_spec_roundtrip(self):
         spec = small_spec("cnn_attention", seed=9)
-        assert ModelSpec.from_dict(spec.to_dict()) == spec
+        assert ModelSpec(**spec.to_dict()) == spec
 
 
 class TestForward:

@@ -16,12 +16,13 @@ SOURCES = {
 }
 
 
-def unreached(tmp_path, name, through_main):
+def unreached(tmp_path, name, through_main, init=SOURCES["__init__.py"]):
     """The unreached findings after importing ``<name>.cli`` and calling
-    ``helper`` directly or through ``main``."""
+    ``helper`` directly or through ``main``; ``init`` is the package's
+    ``__init__.py``."""
     package = tmp_path / name
     package.mkdir()
-    for file, text in SOURCES.items():
+    for file, text in {**SOURCES, "__init__.py": init}.items():
         (package / file).write_text(text)
     sys.path.insert(0, str(tmp_path))
     reach = Reach(package)
@@ -48,3 +49,8 @@ def test_only_cli_main_reaches(tmp_path, through_main):
         f"unreached: {name}/tools.py:2 {name}.tools.helper: value = 41",
         f"unreached: {name}/tools.py:3 {name}.tools.helper: return value + 1",
     ])
+
+
+def test_empty_init(tmp_path):
+    """An empty ``__init__.py`` holds no statement, so nothing in it goes unreached."""
+    assert unreached(tmp_path, "reach_empty", through_main=True, init="") == []

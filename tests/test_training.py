@@ -20,13 +20,15 @@ from types import SimpleNamespace
 
 from metroflow.data import SPLITS, Windows, split_and_window
 from metroflow.errors import ConfigError, DimensionError, NumericError, UsageError
-from metroflow.models import ModelSpec, build_model
+from metroflow.models import KINDS, ModelSpec, build_model
 from metroflow.tensor import Tensor
 from metroflow.training import (
     Adam,
+    ComparisonResult,
+    MetricTriple,
     TrainConfig,
+    TrainReport,
     clip_grad_norm,
-    compare,
     metrics,
     mse_loss,
     train,
@@ -295,42 +297,39 @@ def test_weights_independent_of_blas_threads():
     assert digests[0] == digests[1]
 
 
+def trained_reports(*kinds):
+    """kind -> TrainReport of one epoch on the toy splits."""
+    data = toy_datasets()
+    return {kind: train(build_model(small_spec(kind)), data, TrainConfig(epochs=1, batch_size=4))
+            for kind in kinds}
+
+
 class TestCompare:
     def test_sorted_by_mae_and_reports_present(self):
-        data = toy_datasets()
-        specs = [small_spec("lstm_attention"), small_spec("lstm_cnn")]
-        result = compare(specs, data, TrainConfig(epochs=1, batch_size=4))
-        maes = [r.ours.mae for r in result.rows]
+        result = ComparisonResult(trained_reports("lstm_attention", "lstm_cnn"))
+        maes = [ours.mae for _, ours, _ in result.rows]
         assert maes == sorted(maes)
         assert set(result.reports) == {"lstm_attention", "lstm_cnn"}
 
+    def test_equal_mae_rows_in_kinds_order(self):
+        same = MetricTriple(mae=0.5, mse=0.25, rmse=0.5)
+        reports = {kind: TrainReport(model_kind=kind, seed=0, config={}, test=same)
+                   for kind in reversed(KINDS)}
+        assert [kind for kind, _, _ in ComparisonResult(reports).rows] == list(KINDS)
+
     def test_reference_attached_when_known(self):
-        data = toy_datasets()
-        result = compare([small_spec("mstim")], data, TrainConfig(epochs=1, batch_size=4))
-        assert result.rows[0].reference == {"mae": 0.2120, "mse": 0.1048, "rmse": 0.3237}
-        assert "not asserted" in result.to_dict()["note"]
+        result = ComparisonResult(trained_reports("mstim"))
+        payload = result.to_dict()
+        assert payload["rows"][0]["reference"] == {"mae": 0.2120, "mse": 0.1048, "rmse": 0.3237}
+        assert "not asserted" in payload["note"]
 
     def test_csv_shape(self):
-        data = toy_datasets()
-        result = compare([small_spec("lstm_cnn")], data, TrainConfig(epochs=1, batch_size=4))
+        result = ComparisonResult(trained_reports("lstm_cnn"))
         lines = result.to_csv().strip().split("\n")
         assert lines[0] == "model,mae,mse,rmse,reference_mae,reference_mse,reference_rmse"
         assert len(lines) == 2
         assert lines[1].startswith("lstm_cnn,")
 
-    def test_empty_specs_rejected(self):
-        with pytest.raises(UsageError):
-            compare([], toy_datasets(), TrainConfig())
-
-    def test_same_kind_different_seeds(self):
-        specs = [small_spec("lstm_attention"),
-                 ModelSpec.from_dict({**small_spec("lstm_attention").to_dict(),
-                                      "seed": 11})]
-        with pytest.raises(UsageError, match="each model kind once"):
-            compare(specs, toy_datasets(), TrainConfig(epochs=1, batch_size=4))
-
     def test_timing_excluded_from_dict_by_default(self):
-        data = toy_datasets()
-        result = compare([small_spec("lstm_cnn")], data, TrainConfig(epochs=1, batch_size=4))
-        d = result.to_dict()
+        d = ComparisonResult(trained_reports("lstm_cnn")).to_dict()
         assert "elapsed_seconds" not in d["reports"]["lstm_cnn"]
