@@ -32,6 +32,7 @@ from .errors import (
     CompatibilityError,
     ConfigError,
     MetroflowError,
+    NumericError,
     SchemaError,
     UsageError,
 )
@@ -278,7 +279,12 @@ def cmd_compare(settings: Settings) -> int:
     bundle = load_cache(settings.dataset_path())
     # every kind trains before any file is written, so a failure leaves none
     models = {kind: build_model(model_spec_for(settings, bundle, kind)) for kind in KINDS}
-    reports = {kind: train(model, bundle, config) for kind, model in models.items()}
+    reports = {}
+    for kind, model in models.items():
+        try:
+            reports[kind] = train(model, bundle, config)
+        except NumericError as err:  # name the kind: the command line does not
+            raise NumericError(f"{kind}: {err}") from err
     out = settings.out_dir()
     for kind, model in models.items():
         write_trained(out, model, bundle, reports[kind], settings.get("plot"))

@@ -7,12 +7,13 @@ states for ``step``.  Any other rank or channel width is a DimensionError;
 one window is a batch of one.
 
 ``conv_stack``, ``LstmCell.unroll`` and ``AttentionHead`` each run in
-numpy as one graph node with a hand-written backward.  ``conv_stack`` is
-the one convolution rule: a ``Conv1d`` only holds one conv's weights, and
-``models.ForecastModel._multi_scale`` runs the multi-scale branches through
-``conv_stack``.  The convs read raw windows, so ``conv_stack`` gives no
-input gradient and refuses an input that needs one.  ``step`` is built from
-engine ops and is the reference for ``unroll`` in the tests.
+numpy as one graph node with a hand-written backward, and one forward path
+that under ``no_grad`` only keeps less.  ``conv_stack`` is the one
+convolution rule: it runs (W, b) pairs from ``conv_weights``, as
+``models.ForecastModel._multi_scale`` does for the multi-scale branches.
+The convs read raw windows, so ``conv_stack`` gives no input gradient and
+refuses an input that needs one.  ``step`` is built from engine ops and is
+the reference for ``unroll`` in the tests.
 """
 
 from __future__ import annotations
@@ -60,12 +61,20 @@ class Dense:
         return {"W": self.W, "b": self.b}
 
 
-def conv_stack(x: Tensor, convs, relu: bool) -> Tensor:
-    """Parallel ``Conv1d`` layers over one input, concatenated over channels.
+def conv_weights(in_channels: int, out_channels: int, k: int, rng: np.random.Generator):
+    """One conv's (W [out, in, k], b [out]), Glorot-initialised with fans in*k and out*k."""
+    fan = in_channels * k, out_channels * k
+    return glorot_uniform(rng, (out_channels, in_channels, k), *fan), zeros(out_channels)
 
-    One graph node whose parents are each conv's W and b, read at call
-    time.  The input is not a parent: no model feeds a conv anything but
-    raw windows, so an input that needs a gradient is a UsageError.  The
+
+def conv_stack(x: Tensor, convs, relu: bool) -> Tensor:
+    """Parallel 1-D convolutions over one input, concatenated over channels.
+
+    Each conv is a (W [out, in, k], b [out]) pair: a cross-correlation over
+    time with (k - 1) / 2 zeros of padding on each side, so an even k is a
+    ConfigError.  One graph node whose parents are each conv's W and b, read
+    at call time.  The input is not a parent: no model feeds a conv anything
+    but raw windows, so an input that needs a gradient is a UsageError.  The
     convs become one "same" convolution of width K = max(kernel sizes):
     tap j of a conv of width k lands at tap j + (K - k) / 2 of combined
     weights [K, in, total out channels] that are zero elsewhere.  The
@@ -75,26 +84,28 @@ def conv_stack(x: Tensor, convs, relu: bool) -> Tensor:
     the padded input into [B * n, K * in] and gets every weight gradient
     from one matmul.
     """
-    _check_batch(x, convs[0].W.shape[1], "conv")
+    _check_batch(x, convs[0][0].shape[1], "conv")
     if x.requires_grad:
         raise UsageError("conv_stack gives no input gradient; its input must not need one")
+    if any(W.shape[2] % 2 == 0 for W, _ in convs):
+        raise ConfigError(f"kernel sizes must be odd, got {[W.shape[2] for W, _ in convs]}")
     data = x.data
     batch, n, width = data.shape
-    K = max(conv.kernel_size for conv in convs)
+    K = max(W.shape[2] for W, _ in convs)
     pad = (K - 1) // 2
     # each conv's (taps, output channels) block of the combined weights
-    ends = np.cumsum([conv.out_channels for conv in convs])
-    blocks = [(slice((K - conv.kernel_size) // 2, (K + conv.kernel_size) // 2),
-               slice(end - conv.out_channels, end)) for conv, end in zip(convs, ends)]
+    ends = np.cumsum([W.shape[0] for W, _ in convs])
+    blocks = [(slice((K - W.shape[2]) // 2, (K + W.shape[2]) // 2),
+               slice(end - W.shape[0], end)) for (W, _), end in zip(convs, ends)]
     taps = np.zeros((K, width, ends[-1]))
-    for conv, (rows, cols) in zip(convs, blocks):
-        taps[rows, :, cols] = conv.W.data.transpose(2, 1, 0)
-    parents = tuple(p for conv in convs for p in (conv.W, conv.b))
+    for (W, _), (rows, cols) in zip(convs, blocks):
+        taps[rows, :, cols] = W.data.transpose(2, 1, 0)
+    parents = tuple(p for conv in convs for p in conv)
     xp = np.pad(data, ((0, 0), (pad, pad), (0, 0)))
     y = xp[:, :n] @ taps[0]
     for j in range(1, K):
         y += xp[:, j:j + n] @ taps[j]
-    y += np.concatenate([conv.b.data for conv in convs])
+    y += np.concatenate([b.data for _, b in convs])
     if relu:
         np.maximum(y, 0.0, out=y)
 
@@ -104,37 +115,13 @@ def conv_stack(x: Tensor, convs, relu: bool) -> Tensor:
         unfolded = unfolded.transpose(0, 1, 3, 2).reshape(batch * n, K * width)
         dtaps = (unfolded.T @ dy).reshape(K, width, -1)
         db = dy.sum(axis=0)
-        for conv, (rows, cols) in zip(convs, blocks):
-            if conv.W.requires_grad:
-                _accum(conv.W, dtaps[rows, :, cols].transpose(2, 1, 0))
-            if conv.b.requires_grad:
-                _accum(conv.b, db[cols])
+        for (W, b), (rows, cols) in zip(convs, blocks):
+            if W.requires_grad:
+                _accum(W, dtaps[rows, :, cols].transpose(2, 1, 0))
+            if b.requires_grad:
+                _accum(b, db[cols])
 
     return Tensor._from_op(y, parents, backward)
-
-
-class Conv1d:
-    """The weights of a 1-D cross-correlation over time with symmetric zero
-    "same" padding.
-
-    Output length equals input length; the kernel size must be odd so the
-    padding is (k-1)/2 on each side.  A Conv1d has no call: ``conv_stack``
-    runs it, alone or beside other convs, as one graph node whose parents
-    are the convs' W and b, with no input gradient.
-    """
-
-    def __init__(self, in_channels: int, out_channels: int, kernel_size: int,
-                 rng: np.random.Generator):
-        if kernel_size < 1 or kernel_size % 2 == 0:
-            raise ConfigError(f"kernel size must be a positive odd int, got {kernel_size}")
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        fan = in_channels * kernel_size, out_channels * kernel_size
-        self.W = glorot_uniform(rng, (out_channels, in_channels, kernel_size), *fan)
-        self.b = zeros(out_channels)
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"W": self.W, "b": self.b}
 
 
 class LstmCell:
@@ -152,12 +139,13 @@ class LstmCell:
     matrix whose row blocks are i, f, o, C in that order; its columns
     multiply [h_prev; x_t; 1], so the bias rides in the input product.
     Each step's gates are a [4H, B] array of contiguous [H, B] blocks.  A
-    step projects [x_t; 1] on its own, into the kept gates or, under
-    ``no_grad``, into one [4H, B] scratch array, so both give
-    bit-identical outputs and ``no_grad`` keeps nothing per step.  The
-    backward is hand-written backpropagation through time; one
-    [4H, n * B] x [n * B, H + in + 1] matmul over the kept inputs of
-    every step gives all weight and bias gradients.
+    step copies [x_t; 1] into its slot of the input buffer and projects it
+    on its own.  Recording keeps a slot per step for the backward; under
+    ``no_grad`` every step reuses one, so both give bit-identical outputs
+    and ``no_grad`` keeps nothing per step.  The backward is hand-written
+    backpropagation through time; one [4H, n * B] x [n * B, H + in + 1]
+    matmul over the kept inputs of every step gives all weight and bias
+    gradients.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
@@ -216,28 +204,21 @@ class LstmCell:
                                   for w, b in zip(weights, biases)])
         wh, wx = np.ascontiguousarray(stacked[:, :H]), np.ascontiguousarray(stacked[:, H:])
         keep = records(parents)
+        steps = n if keep else 1  # slots: under no_grad every step reuses slot 0
+        gates = np.empty((steps, 4 * H, batch))  # activated gates
+        inputs = np.zeros((steps, H + D + 1, batch))  # [h_{t-1}; x_t; 1], h_{-1} = 0
+        inputs[:, H + D] = 1.0
         if keep:
-            gates = np.empty((n, 4 * H, batch))  # activated gates of every step
             cells = np.empty((n, H, batch))
             tanh_c = np.empty((n, H, batch))
-            inputs = np.empty((n, H + D + 1, batch))  # [h_{t-1}; x_t; 1] of every step
-            inputs[0, :H] = 0.0
-            inputs[:, H:H + D] = x.transpose(1, 2, 0)
-            inputs[:, H + D] = 1.0
-        else:
-            scratch = np.empty((4 * H, batch))
-            x_one = np.empty((D + 1, batch))  # [x_t; 1]
-            x_one[D] = 1.0
         out = np.empty((batch, n, H))
         h, c = None, np.zeros((H, batch))
         # exp(-z) overflows to inf for z < -709, which gives the correct 0.0
         with np.errstate(over="ignore"):
             for t in range(n):
-                if keep:
-                    z = np.matmul(wx, inputs[t, H:], out=gates[t])
-                else:
-                    x_one[:D] = x[:, t].T
-                    z = np.matmul(wx, x_one, out=scratch)
+                slot = t if keep else 0
+                inputs[slot, H:H + D] = x[:, t].T
+                z = np.matmul(wx, inputs[slot, H:], out=gates[slot])
                 if t:
                     z += wh @ h
                 s = z[:3 * H]
@@ -302,7 +283,7 @@ class AttentionHead:
     subtracts each row's maximum, and non-finite scores raise NumericError.
     The backward gets the three weight gradients from one
     [d, B * n] x [B * n, 3 d_k] matmul and the input gradient from one more.
-    Under ``no_grad`` q and k are freed before v is projected.
+    Under ``no_grad`` the one forward frees q and k before v is projected.
     """
 
     def __init__(self, d_model: int, d_k: int, rng: np.random.Generator):
@@ -327,8 +308,7 @@ class AttentionHead:
         np.exp(weights, out=weights)
         weights /= weights.sum(axis=-1, keepdims=True)
         if not records(parents):
-            del q, k  # free both before the value product
-            return Tensor(weights @ (x @ wv))
+            del q, k  # no backward will read them: free both before the value product
         v = x @ wv
 
         def backward(g):

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import CompatibilityError, ConfigError, DimensionError, NumericError, SchemaError
-from .layers import AttentionHead, Conv1d, Dense, LstmCell, conv_stack
+from .layers import AttentionHead, Dense, LstmCell, conv_stack, conv_weights
 from .serialize import read_blob, write_blob
 from .tensor import Tensor, no_grad
 
@@ -86,25 +86,27 @@ class ForecastModel:
         self.spec = spec
         rng = np.random.default_rng(spec.seed)
         self.convs, self.lstm, self.attention = [], None, None
-        named = []  # (registry prefix, layer) in build order
+        named = []  # (registry prefix, parameters) in build order
         width = spec.input_features
         for stage in STAGES[spec.kind]:
             if stage == "conv":
-                self.convs = [Conv1d(width, spec.conv_filters, k, rng) for k in spec.kernel_sizes]
-                named += [(f"conv{k}", conv) for k, conv in zip(spec.kernel_sizes, self.convs)]
+                self.convs = [conv_weights(width, spec.conv_filters, k, rng)
+                              for k in spec.kernel_sizes]
+                named += [(f"conv{k}", {"W": W, "b": b})
+                          for k, (W, b) in zip(spec.kernel_sizes, self.convs)]
                 width = len(spec.kernel_sizes) * spec.conv_filters
             elif stage == "lstm":
                 self.lstm = LstmCell(width, spec.hidden_size, rng)
-                named.append(("lstm", self.lstm))
+                named.append(("lstm", self.lstm.parameters()))
                 width = spec.hidden_size
             else:
                 self.attention = AttentionHead(width, spec.d_k, rng)
-                named.append(("attention", self.attention))
+                named.append(("attention", self.attention.parameters()))
                 width = spec.d_k
         self.head = Dense(width, spec.horizon, rng)
-        named.append(("head", self.head))
-        self._params = {f"{prefix}/{name}": p for prefix, layer in named
-                        for name, p in layer.parameters().items()}
+        named.append(("head", self.head.parameters()))
+        self._params = {f"{prefix}/{name}": p for prefix, params in named
+                        for name, p in params.items()}
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._params)

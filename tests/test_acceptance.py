@@ -17,7 +17,7 @@ import pytest
 from gradcheck import assert_gradients_match
 from metroflow import cli
 from metroflow.data import prepare_dataset
-from metroflow.layers import AttentionHead, Conv1d, Dense, LstmCell, conv_stack
+from metroflow.layers import AttentionHead, Dense, LstmCell, conv_stack, conv_weights
 from metroflow.models import KINDS, ModelSpec, build_model
 from metroflow.tensor import Tensor, softmax
 from metroflow.training import (
@@ -65,13 +65,12 @@ def test_gradient_correctness_all_layers():
             [layer.W.data.copy(), layer.b.data.copy(), rng.uniform(-1, 1, (1, 3))])
 
         for k in (3, 5, 7):
-            conv = Conv1d(2, 2, k, np.random.default_rng(10 * i + k))
+            W, b = conv_weights(2, 2, k, np.random.default_rng(10 * i + k))
             x = Tensor(rng.uniform(-1, 1, (1, 8, 2)))  # raw windows: no input gradient
-            def fn_conv(w, b, conv=conv, x=x):
-                conv.W, conv.b = w, b
-                out = conv_stack(x, (conv,), relu=False)
+            def fn_conv(w, b, x=x):
+                out = conv_stack(x, ((w, b),), relu=False)
                 return (out * out).sum()
-            assert_gradients_match(fn_conv, [conv.W.data.copy(), conv.b.data.copy()])
+            assert_gradients_match(fn_conv, [W.data.copy(), b.data.copy()])
 
         cell = LstmCell(3, 4, np.random.default_rng(i + 50))
         cell_params = [p.data.copy() for p in cell.parameters().values()]

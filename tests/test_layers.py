@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from gradcheck import assert_gradients_match
 from metroflow.errors import ConfigError, DimensionError, NumericError, UsageError
-from metroflow.layers import AttentionHead, Conv1d, Dense, LstmCell, conv_stack, glorot_uniform
-from metroflow.tensor import Tensor, softmax
+from metroflow.layers import (AttentionHead, Dense, LstmCell, conv_stack, conv_weights,
+                              glorot_uniform)
+from metroflow.tensor import Tensor, no_grad, softmax
 
 
 def make_rng(seed=0):
@@ -180,58 +182,68 @@ class TestFusedUnroll:
 
 
 class TestConv1d:
-    """One conv run alone through ``conv_stack``, without the ReLU."""
+    """One conv, a (W, b) pair from ``conv_weights``, run alone through
+    ``conv_stack`` without the ReLU."""
+
+    def test_weights_glorot_init(self):
+        W, b = conv_weights(3, 2, 5, make_rng())
+        assert W.shape == (2, 3, 5) and W.requires_grad and b.requires_grad
+        assert np.abs(W.data).max() <= np.sqrt(6.0 / (3 * 5 + 2 * 5))
+        np.testing.assert_array_equal(b.data, np.zeros(2))
 
     def test_box_kernel_with_same_padding(self):
-        conv = Conv1d(1, 1, 3, make_rng())
-        conv.W.data[...] = 1.0
-        conv.b.data[...] = 0.0
-        out = conv_stack(Tensor(np.array([[[1.0], [2.0], [3.0]]])), (conv,), relu=False)
+        W, b = conv_weights(1, 1, 3, make_rng())
+        W.data[...] = 1.0
+        b.data[...] = 0.0
+        out = conv_stack(Tensor(np.array([[[1.0], [2.0], [3.0]]])), ((W, b),), relu=False)
         np.testing.assert_allclose(out.data, [[[3.0], [6.0], [5.0]]], atol=1e-15)
 
     def test_identity_kernel(self):
-        conv = Conv1d(2, 2, 3, make_rng())
-        conv.W.data[...] = 0.0
-        conv.b.data[...] = 0.0
+        W, b = conv_weights(2, 2, 3, make_rng())
+        W.data[...] = 0.0
+        b.data[...] = 0.0
         for ch in range(2):
-            conv.W.data[ch, ch, 1] = 1.0
+            W.data[ch, ch, 1] = 1.0
         x = make_rng(1).uniform(-1, 1, (1, 7, 2))
-        out = conv_stack(Tensor(x), (conv,), relu=False)
+        out = conv_stack(Tensor(x), ((W, b),), relu=False)
         np.testing.assert_allclose(out.data, x, atol=1e-15)
 
     def test_zero_sum_kernel_on_constant_input(self):
-        conv = Conv1d(1, 1, 3, make_rng())
-        conv.W.data[0, 0] = [1.0, -2.0, 1.0]
-        conv.b.data[...] = 0.0
-        out = conv_stack(Tensor(np.full((1, 6, 1), 3.0)), (conv,), relu=False)
+        W, b = conv_weights(1, 1, 3, make_rng())
+        W.data[0, 0] = [1.0, -2.0, 1.0]
+        b.data[...] = 0.0
+        out = conv_stack(Tensor(np.full((1, 6, 1), 3.0)), ((W, b),), relu=False)
         np.testing.assert_allclose(out.data[:, 1:-1], np.zeros((1, 4, 1)), atol=1e-14)
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_same_length_for_every_kernel(self, k):
-        conv = Conv1d(3, 2, k, make_rng(k))
+        conv = conv_weights(3, 2, k, make_rng(k))
         out = conv_stack(Tensor(make_rng(1).uniform(-1, 1, (1, 10, 3))), (conv,), relu=False)
         assert out.shape == (1, 10, 2)
 
     def test_even_kernel_rejected(self):
-        with pytest.raises(ConfigError):
-            Conv1d(1, 1, 4, make_rng())
+        # alone or beside an odd one: the centering needs every width odd
+        x = Tensor(np.zeros((1, 5, 1)))
+        even = conv_weights(1, 1, 4, make_rng())
+        for convs in ((even,), (conv_weights(1, 1, 3, make_rng(1)), even)):
+            with pytest.raises(ConfigError, match="odd"):
+                conv_stack(x, convs, relu=False)
 
     def test_channel_mismatch(self):
-        conv = Conv1d(3, 2, 3, make_rng())
+        conv = conv_weights(3, 2, 3, make_rng())
         with pytest.raises(DimensionError):
             conv_stack(Tensor(np.zeros((1, 5, 4))), (conv,), relu=False)
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_gradients(self, k):
-        conv = Conv1d(2, 2, k, make_rng(k))
+        W, b = conv_weights(2, 2, k, make_rng(k))
         x = Tensor(make_rng(20 + k).uniform(-1, 1, (1, 8, 2)))
 
         def fn(w, b):
-            conv.W, conv.b = w, b
-            out = conv_stack(x, (conv,), relu=False)
+            out = conv_stack(x, ((w, b),), relu=False)
             return (out * out).sum()
 
-        assert_gradients_match(fn, [conv.W.data.copy(), conv.b.data.copy()])
+        assert_gradients_match(fn, [W.data.copy(), b.data.copy()])
 
     @staticmethod
     def loop_reference(x, w, b, g, relu=False):
@@ -263,43 +275,42 @@ class TestConv1d:
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_matches_loop_reference(self, k):
-        conv = Conv1d(3, 4, k, make_rng(30 + k))
-        conv.b.data[...] = make_rng(40 + k).normal(size=4)
+        W, b = conv_weights(3, 4, k, make_rng(30 + k))
+        b.data[...] = make_rng(40 + k).normal(size=4)
         x = Tensor(make_rng(50 + k).uniform(-1, 1, (3, 9, 3)))
         g = make_rng(60 + k).normal(size=(3, 9, 4))
-        out = conv_stack(x, (conv,), relu=False)
+        out = conv_stack(x, ((W, b),), relu=False)
         (out * Tensor(g)).sum().backward()
-        expected = self.loop_reference(x.data, conv.W.data, conv.b.data, g)
-        for got, want in zip((out.data, conv.W.grad, conv.b.grad), expected):
+        expected = self.loop_reference(x.data, W.data, b.data, g)
+        for got, want in zip((out.data, W.grad, b.grad), expected):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_batched_gradients(self, k):
         # 8 steps, and 3 steps: shorter than the k=5 and k=7 kernels
         for n in (8, 3):
-            conv = Conv1d(2, 3, k, make_rng(60 + k))
+            W, _ = conv_weights(2, 3, k, make_rng(60 + k))
             x = Tensor(make_rng(70 + k).uniform(-1, 1, (3, n, 2)))
             weights = Tensor(make_rng(80 + k).normal(size=(3, n, 3)))
 
             def fn(w, b):
-                conv.W, conv.b = w, b
-                out = conv_stack(x, (conv,), relu=False)
+                out = conv_stack(x, ((w, b),), relu=False)
                 return (out * out * weights).sum()
 
             bias = make_rng(90 + k).normal(size=3)
-            assert_gradients_match(fn, [conv.W.data.copy(), bias])
+            assert_gradients_match(fn, [W.data.copy(), bias])
 
     def test_one_node(self):
         # the input is data, not a parent; one that needs a gradient is refused
-        conv = Conv1d(2, 3, 5, make_rng(31))
+        W, b = conv_weights(2, 3, 5, make_rng(31))
         x = Tensor(np.ones((3, 8, 2)))
-        out = conv_stack(x, (conv,), relu=False)
-        assert out._parents == (conv.W, conv.b)
+        out = conv_stack(x, ((W, b),), relu=False)
+        assert out._parents == (W, b)
         out.sum().backward()
         assert x.grad is None
-        assert conv.W.grad.shape == conv.W.shape and conv.b.grad.shape == conv.b.shape
+        assert W.grad.shape == W.shape and b.grad.shape == b.shape
         with pytest.raises(UsageError, match="no input gradient"):
-            conv_stack(Tensor(x.data, requires_grad=True), (conv,), relu=False)
+            conv_stack(Tensor(x.data, requires_grad=True), ((W, b),), relu=False)
 
 
 class TestAttention:
@@ -404,6 +415,66 @@ class TestAttention:
             head(Tensor(h))
 
 
+class TestNoGradForward:
+    """``unroll`` and ``AttentionHead`` have one forward for training and
+    ``no_grad``: the same bits, with ``no_grad`` keeping only the output."""
+
+    SHAPES = [(1, 1), (2, 24), (256, 24)]  # (B, n); at n = 1 every step is step 0
+
+    @staticmethod
+    def both(layer, x):
+        recorded = layer(Tensor(x))
+        assert recorded.requires_grad
+        with no_grad():
+            plain = layer(Tensor(x))
+        assert not plain.requires_grad
+        return recorded.data, plain.data
+
+    @staticmethod
+    def peak_bytes(layer, x):
+        """Peak traced heap while ``layer`` runs on ``x`` under no_grad, and its output's size."""
+        x = Tensor(x)
+        tracemalloc.start()
+        try:
+            with no_grad():
+                out = layer(x)
+            return tracemalloc.get_traced_memory()[1], out.data.nbytes
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_unroll_bits_match_recording(self, shape):
+        cell = LstmCell(48, 64, make_rng(40))
+        recorded, plain = self.both(cell.unroll, make_rng(41).uniform(-2, 2, shape + (48,)))
+        assert (recorded == plain).all()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_attention_bits_match_recording(self, shape):
+        head = AttentionHead(64, 64, make_rng(42))
+        recorded, plain = self.both(head, make_rng(43).uniform(-2, 2, shape + (64,)))
+        assert (recorded == plain).all()
+
+    def test_saturated_unroll_without_warnings(self):
+        cell = LstmCell(3, 4, make_rng(27))
+        seq = Tensor(make_rng(28).choice([-800.0, 800.0], size=(2, 6, 3)))
+        with warnings.catch_warnings(), no_grad():
+            warnings.simplefilter("error")
+            out = cell.unroll(seq)
+        assert np.isfinite(out.data).all()
+
+    def test_unroll_keeps_nothing_per_step(self):
+        # recording keeps every step's gates, cells and inputs: about 9x the output
+        peak, out = self.peak_bytes(LstmCell(48, 64, make_rng(44)).unroll,
+                                    make_rng(45).uniform(-1, 1, (256, 24, 48)))
+        assert peak < 2 * out
+
+    def test_attention_frees_q_and_k(self):
+        # q, k and v alive at once would be about 4x the output
+        peak, out = self.peak_bytes(AttentionHead(64, 64, make_rng(46)),
+                                    make_rng(47).uniform(-1, 1, (256, 24, 64)))
+        assert peak < 3 * out
+
+
 class TestDense:
     def test_identity(self):
         layer = Dense(3, 3, make_rng())
@@ -442,7 +513,7 @@ class TestDense:
 
 
 UNBATCHED = {
-    "conv1d": lambda: conv_stack(Tensor(np.zeros((5, 3))), (Conv1d(3, 2, 3, make_rng()),),
+    "conv1d": lambda: conv_stack(Tensor(np.zeros((5, 3))), (conv_weights(3, 2, 3, make_rng()),),
                                  relu=False),
     "unroll": lambda: LstmCell(3, 4, make_rng()).unroll(Tensor(np.zeros((5, 3)))),
     "attention": lambda: AttentionHead(3, 2, make_rng())(Tensor(np.zeros((5, 3)))),

@@ -146,17 +146,16 @@ class TestMultiScale:
     def test_matches_branch_chain(self, batch, kernels):
         model = build_model(small_spec("cnn_attention", kernel_sizes=kernels, seed=15))
         rng = np.random.default_rng(16)
-        for conv in model.convs:
-            conv.b.data[...] = rng.normal(size=conv.b.shape)
+        for _, b in model.convs:
+            b.data[...] = rng.normal(size=b.shape)
         x = Tensor(rng.normal(size=(batch, 8, 5)))
         upstream = rng.normal(size=(batch, 8, 4 * len(kernels)))
         out = model._multi_scale(x)
         (out * Tensor(upstream)).sum().backward()
-        for j, conv in enumerate(model.convs):
+        for j, (W, b) in enumerate(model.convs):
             cols = slice(4 * j, 4 * (j + 1))
-            y, dw, db = loop_reference(x.data, conv.W.data, conv.b.data,
-                                       upstream[..., cols], relu=True)
-            for got, want in ((out.data[..., cols], y), (conv.W.grad, dw), (conv.b.grad, db)):
+            y, dw, db = loop_reference(x.data, W.data, b.data, upstream[..., cols], relu=True)
+            for got, want in ((out.data[..., cols], y), (W.grad, dw), (b.grad, db)):
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_gradients(self):
@@ -166,12 +165,11 @@ class TestMultiScale:
         x = Tensor(rng.uniform(-1, 1, (2, 8, 5)))
         weights = Tensor(rng.normal(size=(2, 8, 4)))
         arrays = []
-        for conv in model.convs:
-            arrays += [conv.W.data.copy(), rng.normal(size=conv.b.shape)]
+        for W, b in model.convs:
+            arrays += [W.data.copy(), rng.normal(size=b.shape)]
 
         def fn(*params):
-            for conv, w, b in zip(model.convs, params[::2], params[1::2]):
-                conv.W, conv.b = w, b
+            model.convs = list(zip(params[::2], params[1::2]))
             out = model._multi_scale(x)
             return (out * out * weights).sum()
 
@@ -181,7 +179,7 @@ class TestMultiScale:
         model = build_model(small_spec("mstim"))
         x = Tensor(np.ones((2, 8, 5)))
         out = model._multi_scale(x)
-        assert out._parents == tuple(p for conv in model.convs for p in (conv.W, conv.b))
+        assert out._parents == tuple(p for W, b in model.convs for p in (W, b))
         out.sum().backward()
         assert x.grad is None
 
