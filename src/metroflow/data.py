@@ -4,7 +4,10 @@ The pipeline is parse -> clean -> encode -> split_and_window, and its stages
 pass plain columns and arrays: ``parse_csv(path)`` returns ``(columns,
 rejects)``, ``clean(columns)`` returns ``(columns, counts)``, ``encode(columns,
 vocab)`` the ``[L, d]`` feature rows, and ``split_and_window(features, times,
-vocab, n, horizon)`` the ``DatasetBundle``.  Only the parse works row by row.
+vocab, n, horizon)`` the ``DatasetBundle``.  The parse reads the CSV a block
+of rows at a time and converts each block a column at a time; a row the
+column checks flag goes through ``_parse_row``, the one per-row rule, which
+gives its reject reason or, for a spelling only ``strptime`` reads, its values.
 Splits are chronological, normalization statistics come from the training
 rows only, and windows never cross a split boundary or a timeline gap longer
 than six hours; ``_gap_free`` decides that for the split windows and for
@@ -19,9 +22,9 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from itertools import compress
 
 import numpy as np
 
@@ -46,11 +49,6 @@ SPLIT_RATIOS = (0.7, 0.1, 0.2)
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
 _EPOCH = datetime(1970, 1, 1)
 
-#: ``TIME_FORMAT`` at its fixed width in ASCII digits, the shape of every
-#: well-formed stamp; ``[0-9]`` because ``\d`` also matches non-ASCII digits.
-_FIXED_STAMP = re.compile(
-    r"[0-9]{4}-[0-9]{2}-[0-9]{2} (?:[01][0-9]|2[0-3]):[0-9]{2}:[0-9]{2}")
-
 #: Consecutive records further apart than this do not share a window.
 MAX_GAP_SECONDS = 6 * 3600
 
@@ -66,6 +64,18 @@ DATASET_FORMAT = "metroflow-dataset"
 _PARSED = ("holiday", "weather_main", *MEASURED_COLUMNS, "date_time", "traffic_volume")
 _TEXT = ("holiday", "weather_main")
 
+#: Rows ``parse_csv`` gathers before converting them; it holds one block's
+#: rows at a time.
+_BLOCK_ROWS = 2048
+
+#: A ``TIME_FORMAT`` stamp at its fixed width: which characters are digits,
+#: the code points of the separators, and where each two-digit field after
+#: the year starts.
+_STAMP_SHAPE = "0000-00-00 00:00:00"
+_STAMP_DIGIT = np.array([c == "0" for c in _STAMP_SHAPE])
+_STAMP_CODES = np.array([ord(c) for c in _STAMP_SHAPE], dtype=np.uint32)
+_STAMP_TENS = np.array([5, 8, 11, 14, 17])
+
 
 def _to_epoch(dt: datetime) -> float:
     return (dt - _EPOCH).total_seconds()
@@ -76,28 +86,15 @@ def _from_epoch(seconds: float) -> datetime:
 
 
 def _parse_stamp(text: str) -> datetime:
-    """``text`` read as ``TIME_FORMAT``: the value ``datetime.strptime`` gives,
-    or a ValueError with its text.
-
-    A stamp of the fixed-width ASCII shape is parsed by the C-coded
-    ``datetime.fromisoformat``.  Any other string, and one ``fromisoformat``
-    rejects, goes to ``strptime``, which stays for two reasons: it accepts
-    spellings the fast path refuses, such as single-digit fields and runs of
-    spaces, and its ValueError text is the reject reason ``prepare`` reports.
-    """
-    if _FIXED_STAMP.fullmatch(text):
-        try:
-            return datetime.fromisoformat(text)
-        except ValueError:
-            pass  # a field out of range; strptime names it
+    """``text`` read as ``TIME_FORMAT`` by ``strptime``, whose ValueError text
+    is the reject reason ``prepare`` reports for a malformed stamp."""
     return datetime.strptime(text, TIME_FORMAT)
 
 
 def _parse_row(row) -> tuple:
     """One CSV row as a tuple in ``_PARSED`` order; a ValueError or
     OverflowError carries the reason the row is rejected.  The timestamp goes
-    through ``_parse_stamp``, whose ``strptime`` fallback keeps the reject
-    text of a malformed stamp."""
+    through ``_parse_stamp``, so a malformed stamp keeps ``strptime``'s text."""
     if len(row) != len(RAW_COLUMNS):
         raise ValueError(f"expected 9 fields, found {len(row)}")
     measured = [float(v) for v in row[1:5]]
@@ -117,14 +114,20 @@ def parse_csv(path) -> tuple:
     """Read the nine-column traffic CSV into ``(columns, rejects)``.
 
     ``columns`` maps each ``_PARSED`` name to an ``[L]`` array of the accepted
-    rows in file order, str objects for the text columns and floats for the
-    rest, ``date_time`` in epoch seconds.  ``weather_description`` is never
-    encoded, so it is not kept.  ``rejects`` lists a ``{"line", "reason"}``
-    dict for each malformed row.
+    rows in file order, str objects for the text columns, one object per
+    distinct value, and floats for the rest, ``date_time`` in epoch seconds.
+    ``weather_description`` is never encoded, so it is not kept.  ``rejects``
+    lists a ``{"line", "reason"}`` dict for each malformed row, in line order.
+
+    ``csv.reader`` tokenizes the file, which may start with a UTF-8 byte-order
+    mark.  Non-empty rows are gathered ``_BLOCK_ROWS`` at a time with their
+    line numbers and handed to ``_convert_block``, so the rows held at once
+    are one block, not the file.
     """
-    rows = []
+    blocks = []
     rejects = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    text = {}  # one str object per distinct holiday and weather_main value
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -137,18 +140,108 @@ def parse_csv(path) -> tuple:
                 if got.strip() != want:
                     raise SchemaError(
                         f"{path}: unknown header column {got!r}, expected {want!r}")
+            rows, lines = [], []
             for row in reader:
                 if row:
-                    try:
-                        rows.append(_parse_row(row))
-                    except (ValueError, OverflowError) as err:
-                        rejects.append({"line": reader.line_num, "reason": str(err)})
+                    rows.append(row)
+                    lines.append(reader.line_num)
+                    if len(rows) == _BLOCK_ROWS:
+                        blocks.append(_convert_block(rows, lines, text, rejects))
+                        rows, lines = [], []
+            blocks.append(_convert_block(rows, lines, text, rejects))
         except (csv.Error, UnicodeDecodeError) as err:
             raise SchemaError(
                 f"{path}: unreadable CSV ({reader.line_num} lines read): {err}") from None
-    fields = list(zip(*rows)) or [()] * len(_PARSED)
-    return {name: np.array(values, dtype=object if name in _TEXT else np.float64)
-            for name, values in zip(_PARSED, fields)}, rejects
+    return {name: np.concatenate([block[name] for block in blocks])
+            for name in _PARSED}, rejects
+
+
+def _convert_block(rows, lines, text, rejects) -> dict:
+    """The ``_PARSED`` columns of one block's accepted rows.
+
+    The rows nine fields wide are transposed and converted a column at a
+    time, with the functions ``_parse_row`` applies to each field, so the
+    values are the same bits.  A row is flagged when it is not nine fields
+    wide, a field does not convert, its stamp is not a valid fixed-width
+    ``TIME_FORMAT`` stamp, or a value fails a range check.  Each flagged row,
+    in line order, goes through ``_parse_row``: its error becomes a reject
+    in ``rejects``, and a row it accepts keeps the values it returns.
+    ``text`` maps each text value seen so far to the one object kept for it.
+    """
+    full = np.fromiter(map(len, rows), np.intp, len(rows)) == len(RAW_COLUMNS)
+    fields = list(zip(*compress(rows, full))) or [()] * len(RAW_COLUMNS)
+    measured = [_floats(fields[i]) for i in range(1, 5)]
+    stamps, stamped = _stamp_seconds(fields[7])
+    volume = _floats(fields[8], integer=True)
+    ok = (stamped & np.isfinite(measured).all(axis=0) & (volume >= 0)
+          & (measured[3] >= 0.0) & (measured[3] <= 100.0))  # NaN fails each comparison
+    numbers = np.array([*measured, stamps, volume])  # [6, m] in _PARSED order
+    flagged = ~full
+    flagged[full] = ~ok
+    # i indexes the block's rows, j the nine-wide ones; a narrower or wider
+    # row always raises, so its j is never read
+    kept, values = [], []
+    for i, j in zip(np.flatnonzero(flagged), np.cumsum(full)[flagged] - 1):
+        try:
+            values.append(_parse_row(rows[i])[2:])
+        except (ValueError, OverflowError) as err:
+            rejects.append({"line": lines[i], "reason": str(err)})
+        else:
+            kept.append(j)
+    numbers[:, kept] = np.reshape(values, (-1, len(_PARSED) - 2)).T
+    ok[kept] = True
+    columns = dict(zip(_PARSED[2:], numbers[:, ok]))
+    for name, i in zip(_TEXT, (0, 5)):
+        for value in set(fields[i]):
+            text.setdefault(value, value)
+        column = np.fromiter(map(text.__getitem__, fields[i]), object, len(fields[i]))
+        columns[name] = column[ok]
+    return columns
+
+
+def _floats(values, integer=False) -> np.ndarray:
+    """``float(value)``, or ``float(int(value))`` when ``integer``, of each value
+    into float64, with NaN for a value they refuse; only a column refused
+    somewhere is retried value by value."""
+    try:
+        return np.fromiter(map(float, map(int, values) if integer else values),
+                           np.float64, len(values))
+    except (ValueError, OverflowError):
+        out = np.full(len(values), np.nan)
+        for i, value in enumerate(values):
+            try:
+                out[i] = float(int(value) if integer else value)
+            except (ValueError, OverflowError):
+                pass
+        return out
+
+
+def _stamp_seconds(stamps) -> tuple:
+    """Epoch seconds of ``stamps`` and a mask of the ones that hold them.
+
+    A stamp holds its value when it is ``TIME_FORMAT`` at its fixed width of
+    19 ASCII characters with every field in range, day of month and leap
+    years included.  The days come from numpy's calendar and the seconds are
+    integers, so each value is the one ``_to_epoch`` gives for ``strptime``'s
+    datetime.  This is the only home of the fixed-width stamp rule; every
+    other stamp goes to ``strptime`` through ``_parse_row``.
+    """
+    fixed = np.fromiter(map(len, stamps), np.intp, len(stamps)) == len(_STAMP_SHAPE)
+    codes = np.array(stamps, dtype=f"U{len(_STAMP_SHAPE)}").view(np.uint32)
+    codes = codes.reshape(len(stamps), len(_STAMP_SHAPE))
+    digits = codes - ord("0")  # unsigned: a code point below "0" wraps past 9
+    shaped = fixed & np.where(_STAMP_DIGIT, digits <= 9, codes == _STAMP_CODES).all(axis=1)
+    digits = np.where(shaped[:, None], digits, 0).astype(np.int64)
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1])
+    two_digit = 10 * digits[:, _STAMP_TENS] + digits[:, _STAMP_TENS + 1]
+    month, day, hour, minute, second = two_digit.T
+    first = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    days = first.astype("datetime64[D]").astype(np.int64)
+    month_days = (first + 1).astype("datetime64[D]").astype(np.int64) - days
+    valid = (shaped & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+             & (day <= month_days) & (hour <= 23) & (minute <= 59) & (second <= 59))
+    seconds = (days + day - 1) * 86400 + hour * 3600 + minute * 60 + second
+    return seconds.astype(np.float64), valid
 
 
 def clean(columns) -> tuple:

@@ -98,8 +98,8 @@ class TestPrepare:
 
     def test_rejects_and_strptime_spellings(self, tmp_path):
         # a row of ten fields, a nan temperature and 2016-02-30, which the
-        # fixed-width fast path hands to strptime, are rejected; hour 99
-        # spelled 2016-1-5 3:00:00, which only strptime reads, is kept
+        # column pass hands to strptime, are rejected; hour 99 spelled
+        # 2016-1-5 3:00:00, which only strptime reads, is kept
         lines = write_csv(tmp_path / "odd.csv").read_text().splitlines()
         for i, column, value in ((10, 8, "1000,extra"), (20, 1, "nan"),
                                  (30, 7, "2016-02-30 10:00:00"), (100, 7, "2016-1-5 3:00:00")):
@@ -118,6 +118,71 @@ class TestPrepare:
         assert (summary["parsed"], summary["rejected"]) == (137, 3)
         assert summary["cleaning"]["kept"] == 137
         assert summary["cleaning"]["duplicate_timestamps"] == 0
+
+    def test_blocks_of_rows_write_the_same_cache(self, workspace, tmp_path, monkeypatch):
+        # 140 rows in blocks of 16, with rejects on the first and last row of
+        # a block, write what one block writes
+        lines = workspace["csv"].read_text().splitlines()
+        for i in (16, 17, 33):
+            lines[i] = lines[i].replace(",x,", ",x,y,")
+        (tmp_path / "edges.csv").write_text("\n".join(lines) + "\n")
+        whole, blocks = tmp_path / "whole", tmp_path / "blocks"
+        assert run("prepare", "--csv", tmp_path / "edges.csv", "--out", whole,
+                   "--window", "8") == 0
+        monkeypatch.setattr("metroflow.data._BLOCK_ROWS", 16)
+        assert run("prepare", "--csv", tmp_path / "edges.csv", "--out", blocks,
+                   "--window", "8") == 0
+        for name in ("dataset.bin", "prepare_summary.json"):
+            assert (blocks / name).read_bytes() == (whole / name).read_bytes()
+        summary = json.loads((blocks / "prepare_summary.json").read_text())
+        assert [r["line"] for r in summary["rejects"]] == [17, 18, 34]
+
+    def test_fields_float_and_int_refuse_rejected(self, tmp_path):
+        lines = write_csv(tmp_path / "words.csv").read_text().splitlines()
+        for i, column, value in ((5, 2, "n/a"), (6, 8, "12.5")):
+            fields = lines[i].split(",")
+            fields[column] = value
+            lines[i] = ",".join(fields)
+        (tmp_path / "words.csv").write_text("\n".join(lines) + "\n")
+        assert run("prepare", "--csv", tmp_path / "words.csv", "--out", tmp_path,
+                   "--window", "8") == 0
+        summary = json.loads((tmp_path / "prepare_summary.json").read_text())
+        assert summary["rejects"] == [
+            {"line": 6, "reason": "could not convert string to float: 'n/a'"},
+            {"line": 7, "reason": "invalid literal for int() with base 10: '12.5'"},
+        ]
+
+    def test_strptime_spelling_keeps_its_value(self, workspace, tmp_path):
+        # 2016-1-1 1:00:00 fails the fixed-width stamp check; strptime reads
+        # it as the stamp it replaces, so the cache is the same
+        text = workspace["csv"].read_text()
+        assert "2016-01-01 01:00:00" in text
+        (tmp_path / "short.csv").write_text(text.replace("2016-01-01 01:00:00",
+                                                         "2016-1-1 1:00:00"))
+        assert run("prepare", "--csv", tmp_path / "short.csv", "--out", tmp_path,
+                   "--window", "8") == 0
+        summary = json.loads((tmp_path / "prepare_summary.json").read_text())
+        assert (summary["parsed"], summary["rejected"]) == (140, 0)
+        assert ((tmp_path / "dataset.bin").read_bytes()
+                == (workspace["out"] / "dataset.bin").read_bytes())
+
+    def test_no_accepted_rows_exit_two(self, tmp_path, capsys):
+        lines = write_csv(tmp_path / "none.csv", hours=20).read_text().splitlines()
+        (tmp_path / "none.csv").write_text(
+            "\n".join([lines[0], *(line + ",extra" for line in lines[1:])]) + "\n")
+        out = tmp_path / "out"
+        assert run("prepare", "--csv", tmp_path / "none.csv", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "none.csv" in err
+        assert not (out / "dataset.bin").exists()
+
+    def test_byte_order_mark_accepted(self, workspace, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with U+FEFF
+        (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + workspace["csv"].read_bytes())
+        assert run("prepare", "--csv", tmp_path / "bom.csv", "--out", tmp_path,
+                   "--window", "8") == 0
+        assert ((tmp_path / "dataset.bin").read_bytes()
+                == (workspace["out"] / "dataset.bin").read_bytes())
 
     def test_failed_write_exit_one_without_temporary_file(self, workspace, tmp_path, capsys):
         # a directory where the summary goes: os.replace fails, also for root

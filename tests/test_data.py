@@ -170,6 +170,20 @@ class TestParse:
         assert rejects == [{"line": 2, "reason": "int too large to convert to float"}]
         assert len(columns["date_time"]) == 1
 
+    def test_peak_memory_bounded_by_output(self, tmp_path):
+        # rows are held one block at a time, and each text value once; a
+        # field tuple for every row at once peaked near 7.7 times the output
+        import tracemalloc
+        path = write_csv(tmp_path / "long.csv", hours=20_000)
+        tracemalloc.start()
+        try:
+            columns, _ = parse_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(columns["date_time"]) == 20_000
+        assert peak < 4 * sum(column.nbytes for column in columns.values())
+
     @pytest.mark.parametrize("body", [
         # an unclosed quote runs past the csv module's field size limit
         b'"None,280,0,0,40,Clouds,x,2016-01-01 00:00:00,10\n' + b"x" * 140_000 + b"\n",

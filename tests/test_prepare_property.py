@@ -4,15 +4,24 @@
 replacement, the command ends in exit code 0 or 2 without an exception
 escaping ``main``, and a cache it writes holds a finite series.
 
-``_parse_stamp`` against ``datetime.strptime`` as the oracle: the same
-datetime, or a ValueError with the same text.
+``_parse_stamp`` and the column pass's ``_stamp_seconds`` against
+``datetime.strptime`` as the oracle: ``_parse_stamp`` gives the same datetime
+or a ValueError with the same text, and a stamp ``_stamp_seconds`` accepts is
+one strptime reads, at the same epoch seconds.
+
+``parse_csv``, which converts blocks of rows a column at a time, against a
+loop of ``_parse_row`` over every row as the oracle: the same columns, dtypes
+and bits, and the same rejects.
 """
 
 import contextlib
+import csv
 import io
+import re
 import tempfile
 from datetime import datetime, timedelta
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,8 +29,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from metroflow import cli
-from metroflow.data import RAW_COLUMNS, TIME_FORMAT, _parse_stamp
+from metroflow import cli, data
+from metroflow.data import (RAW_COLUMNS, TIME_FORMAT, _parse_row, _parse_stamp,
+                             _stamp_seconds, _to_epoch, parse_csv)
 from metroflow.serialize import read_blob
 
 ROWS = 60
@@ -102,7 +112,7 @@ def _read(parse, text):
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(text=STAMPS)
 @example(text="2012-1-2 9:00:00")             # strptime accepts single-digit fields
-@example(text="2016-01-01T00:00:00")          # fromisoformat accepts these three
+@example(text="2016-01-01T00:00:00")          # ISO spellings strptime refuses
 @example(text="2016-01-01 00:00:00.5")
 @example(text="2016-01-01 00:00:00+01:00")
 @example(text="2016-01-01  00:00:00")         # strptime reads a space as any run of them
@@ -119,4 +129,92 @@ def _read(parse, text):
 @example(text="0000-01-01 00:00:00")
 @example(text="9999-12-31 23:59:59")
 def test_parse_stamp_matches_strptime(text):
-    assert _read(_parse_stamp, text) == _read(lambda t: datetime.strptime(t, TIME_FORMAT), text)
+    expected = _read(lambda t: datetime.strptime(t, TIME_FORMAT), text)
+    assert _read(_parse_stamp, text) == expected
+    (seconds,), (valid,) = _stamp_seconds([text])
+    if valid:
+        assert _to_epoch(datetime.strptime(text, TIME_FORMAT)) == seconds
+    else:
+        # the column pass refuses a zero-padded ASCII stamp only when strptime does
+        padded = re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}", text)
+        assert not padded or expected.startswith("ValueError")
+
+
+def parse_by_rows(path) -> tuple:
+    """``parse_csv`` as one ``_parse_row`` call per row: its rows' tuples,
+    transposed into columns, and the rejects in line order."""
+    rows, rejects = [], []
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        next(reader)
+        for row in reader:
+            if row:
+                try:
+                    rows.append(_parse_row(row))
+                except (ValueError, OverflowError) as err:
+                    rejects.append({"line": reader.line_num, "reason": str(err)})
+    fields = list(zip(*rows)) or [()] * len(data._PARSED)
+    return {name: np.array(values, dtype=object if name in data._TEXT else np.float64)
+            for name, values in zip(data._PARSED, fields)}, rejects
+
+
+def _two(low, high):
+    """Two digits in [low, high], half the time one of the two ends."""
+    return st.one_of(st.sampled_from([low, high]), st.integers(low, high)).map("{:02d}".format)
+
+
+#: Stamps of the fixed width, each field a little past its range.
+FIXED_STAMPS = _stamp(st.integers(0, 9999).map("{:04d}".format), _two(0, 13), _two(0, 32),
+                      _two(0, 24), _two(0, 60), _two(0, 61))
+
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.floats(-1, 101).map(repr),
+    st.integers(-3, 3).map(str),
+    st.sampled_from(["-0", "-0.0", "100", "100.0000001", "1e999", "-inf", "nan", "9" * 400,
+                     " 7 ", "1_000", "٣", "0x10", "1.5"]),
+)
+ROW = st.integers(0, ROWS - 1)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(edits=st.lists(st.tuples(ROW, st.integers(0, len(RAW_COLUMNS) - 1), VALUES), max_size=3),
+       stamps=st.lists(st.tuples(ROW, st.just(7), st.one_of(FIXED_STAMPS, STAMPS)), max_size=6),
+       numbers=st.lists(st.tuples(ROW, st.sampled_from([1, 2, 3, 4, 8]), NUMBERS), max_size=6),
+       widths=st.lists(st.tuples(ROW, st.integers(0, 12)), max_size=3),
+       blanks=st.sets(ROW, max_size=3),
+       block=st.integers(1, 9))
+@example(edits=[], stamps=[(0, 7, "2016-1-1 0:00:00"), (1, 7, "2016-04-31 00:00:00"),
+                           (2, 7, "2015-02-29 00:00:00"), (3, 7, "2016-02-29 23:59:59"),
+                           (4, 7, "2016-01-01 00:00:60"), (5, 7, "0000-01-01 00:00:00"),
+                           (6, 7, "2016-01-01 00:00:00.5"), (7, 7, "2016-01-01 24:00:00"),
+                           (16, 7, "2016-13-01 00:00:00"), (17, 7, "2016-01-01 00:60:00")],
+         numbers=[(8, 8, "-1"), (9, 4, "100.5"), (10, 4, "-0.5"), (11, 8, "9" * 400),
+                  (12, 1, "n/a"), (13, 2, "inf")],
+         widths=[(14, 10), (15, 8)], blanks={1}, block=3)
+def test_blocks_match_parse_by_rows(edits, stamps, numbers, widths, blanks, block):
+    """Rows with mutated fields, of the wrong width and after blank lines, in
+    blocks of a few rows, so rejects fall on block edges too."""
+    rows = valid_rows()
+    for row, field, value in edits + stamps + numbers:
+        rows[row][field] = value
+    for row, width in widths:
+        rows[row] = (rows[row] + ["x"] * width)[:width]
+    lines = [",".join(RAW_COLUMNS)]
+    for i, row in enumerate(rows):
+        lines += [",".join(row)] + [""] * (i in blanks)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        want, want_rejects = parse_by_rows(path)
+        with mock.patch.object(data, "_BLOCK_ROWS", block):
+            got, got_rejects = parse_csv(path)
+    assert got_rejects == want_rejects
+    assert list(got) == list(want)
+    for name, column in want.items():
+        assert got[name].dtype == column.dtype and got[name].shape == column.shape, name
+        if column.dtype == object:
+            assert got[name].tolist() == column.tolist(), name
+            assert len({id(v) for v in got[name]}) == len(set(column)), name
+        else:
+            assert got[name].tobytes() == column.tobytes(), name
