@@ -5,23 +5,22 @@ pass plain columns and arrays: ``parse_csv(path)`` returns ``(columns,
 rejects)``, ``clean(columns)`` returns ``(columns, counts)``, ``encode(columns,
 vocab)`` the ``[L, d]`` feature rows, and ``split_and_window(features, times,
 vocab, n, horizon)`` the ``DatasetBundle``.  The parse reads the CSV a block
-of rows at a time and converts each block a column at a time; a row the
-column checks flag goes through ``_parse_row``, the one per-row rule, which
-gives its reject reason or, for a spelling only ``strptime`` reads, its values.
-Splits are chronological, normalization statistics come from the training
-rows only, and windows never cross a split boundary or a timeline gap longer
-than six hours; ``_gap_free`` decides that for the split windows and for
-predict's history windows alike.  Both are ``Windows`` views: the series and
-the window start rows, gathered into ``[B, n, d]`` only for the rows a batch
-or prediction chunk reads.  The dataset cache holds only the standardized
-series, its times and statistics; ``load_cache`` derives the split bounds,
-window starts and ``data_hash`` with the code ``split_and_window`` uses.
+of rows at a time and converts each block a column at a time.  That column
+pass is the one row rule: each check is a mask over the block, and the first
+check a row fails names its reject.  Splits are chronological, normalization
+statistics come from the training rows only, and windows never cross a split
+boundary or a timeline gap longer than six hours; ``_gap_free`` decides that
+for the split windows and for predict's history windows alike.  Both are
+``Windows`` views: the series and the window start rows, gathered into
+``[B, n, d]`` only for the rows a batch or prediction chunk reads.  The
+dataset cache holds only the standardized series, its times and statistics;
+``load_cache`` derives the split bounds, window starts and ``data_hash`` with
+the code ``split_and_window`` uses.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import compress
@@ -60,13 +59,20 @@ MAX_PLAUSIBLE_RAIN = 300.0
 
 DATASET_FORMAT = "metroflow-dataset"
 
-#: Columns ``parse_csv`` keeps, in the order of its row tuples.
+#: Columns ``parse_csv`` keeps, in the order of its ``columns`` dict.
 _PARSED = ("holiday", "weather_main", *MEASURED_COLUMNS, "date_time", "traffic_volume")
 _TEXT = ("holiday", "weather_main")
 
 #: Rows ``parse_csv`` gathers before converting them; it holds one block's
 #: rows at a time.
 _BLOCK_ROWS = 2048
+
+#: The fields of a nine-field row the column pass reads, by index, in the
+#: order their ``malformed`` reasons are tried, and then the reasons of the
+#: value rules, in their order.
+_READ = (1, 2, 3, 4, 7, 8)
+_RULES = (*(f"non-finite {name}" for name in MEASURED_COLUMNS),
+          "negative traffic_volume", "clouds_all outside [0, 100]")
 
 #: A ``TIME_FORMAT`` stamp at its fixed width: which characters are digits,
 #: the code points of the separators, and where each two-digit field after
@@ -77,37 +83,8 @@ _STAMP_CODES = np.array([ord(c) for c in _STAMP_SHAPE], dtype=np.uint32)
 _STAMP_TENS = np.array([5, 8, 11, 14, 17])
 
 
-def _to_epoch(dt: datetime) -> float:
-    return (dt - _EPOCH).total_seconds()
-
-
 def _from_epoch(seconds: float) -> datetime:
     return _EPOCH + timedelta(seconds=float(seconds))
-
-
-def _parse_stamp(text: str) -> datetime:
-    """``text`` read as ``TIME_FORMAT`` by ``strptime``, whose ValueError text
-    is the reject reason ``prepare`` reports for a malformed stamp."""
-    return datetime.strptime(text, TIME_FORMAT)
-
-
-def _parse_row(row) -> tuple:
-    """One CSV row as a tuple in ``_PARSED`` order; a ValueError or
-    OverflowError carries the reason the row is rejected.  The timestamp goes
-    through ``_parse_stamp``, so a malformed stamp keeps ``strptime``'s text."""
-    if len(row) != len(RAW_COLUMNS):
-        raise ValueError(f"expected 9 fields, found {len(row)}")
-    measured = [float(v) for v in row[1:5]]
-    when = _to_epoch(_parse_stamp(row[7]))
-    volume = float(int(row[8]))
-    bad = [c for c, v in zip(MEASURED_COLUMNS, measured) if not math.isfinite(v)]
-    if bad:
-        raise ValueError(f"non-finite {bad[0]}")
-    if volume < 0:
-        raise ValueError("negative traffic_volume")
-    if not 0.0 <= measured[3] <= 100.0:
-        raise ValueError("clouds_all outside [0, 100]")
-    return (row[0], row[5], *measured, when, volume)
 
 
 def parse_csv(path) -> tuple:
@@ -160,37 +137,36 @@ def _convert_block(rows, lines, text, rejects) -> dict:
     """The ``_PARSED`` columns of one block's accepted rows.
 
     The rows nine fields wide are transposed and converted a column at a
-    time, with the functions ``_parse_row`` applies to each field, so the
-    values are the same bits.  A row is flagged when it is not nine fields
-    wide, a field does not convert, its stamp is not a valid fixed-width
-    ``TIME_FORMAT`` stamp, or a value fails a range check.  Each flagged row,
-    in line order, goes through ``_parse_row``: its error becomes a reject
-    in ``rejects``, and a row it accepts keeps the values it returns.
-    ``text`` maps each text value seen so far to the one object kept for it.
+    time.  Every check is a mask over those rows, tried in the order of
+    ``_READ`` and then ``_RULES``.  A row is rejected when it is not nine
+    fields wide, or else by the first check it fails: a field that does not
+    read gives ``malformed <column> '<value>'``, a value that breaks a rule
+    that rule's reason.  Rejects go to ``rejects`` in line order.  ``text``
+    maps each text value seen so far to the one object kept for it.
     """
     full = np.fromiter(map(len, rows), np.intp, len(rows)) == len(RAW_COLUMNS)
     fields = list(zip(*compress(rows, full))) or [()] * len(RAW_COLUMNS)
-    measured = [_floats(fields[i]) for i in range(1, 5)]
+    measured, read = zip(*(_floats(fields[i]) for i in range(1, 5)))
     stamps, stamped = _stamp_seconds(fields[7])
-    volume = _floats(fields[8], integer=True)
-    ok = (stamped & np.isfinite(measured).all(axis=0) & (volume >= 0)
-          & (measured[3] >= 0.0) & (measured[3] <= 100.0))  # NaN fails each comparison
-    numbers = np.array([*measured, stamps, volume])  # [6, m] in _PARSED order
+    volume, counted = _floats(fields[8], integer=True)
+    fails = ~np.array([*read, stamped, counted, *np.isfinite(measured), volume >= 0,
+                       (measured[3] >= 0.0) & (measured[3] <= 100.0)])  # [12, m]
+    ok = ~fails.any(axis=0)
+    first = fails.argmax(axis=0)
     flagged = ~full
     flagged[full] = ~ok
-    # i indexes the block's rows, j the nine-wide ones; a narrower or wider
-    # row always raises, so its j is never read
-    kept, values = [], []
+    # i indexes the block's rows, j the nine-wide ones
     for i, j in zip(np.flatnonzero(flagged), np.cumsum(full)[flagged] - 1):
-        try:
-            values.append(_parse_row(rows[i])[2:])
-        except (ValueError, OverflowError) as err:
-            rejects.append({"line": lines[i], "reason": str(err)})
+        row = rows[i]
+        if not full[i]:
+            reason = f"expected 9 fields, found {len(row)}"
+        elif first[j] < len(_READ):
+            column = _READ[first[j]]
+            reason = f"malformed {RAW_COLUMNS[column]} {row[column]!r}"
         else:
-            kept.append(j)
-    numbers[:, kept] = np.reshape(values, (-1, len(_PARSED) - 2)).T
-    ok[kept] = True
-    columns = dict(zip(_PARSED[2:], numbers[:, ok]))
+            reason = _RULES[first[j] - len(_READ)]
+        rejects.append({"line": lines[i], "reason": reason})
+    columns = dict(zip(_PARSED[2:], np.array([*measured, stamps, volume])[:, ok]))
     for name, i in zip(_TEXT, (0, 5)):
         for value in set(fields[i]):
             text.setdefault(value, value)
@@ -199,32 +175,40 @@ def _convert_block(rows, lines, text, rejects) -> dict:
     return columns
 
 
-def _floats(values, integer=False) -> np.ndarray:
+def _floats(values, integer=False) -> tuple:
     """``float(value)``, or ``float(int(value))`` when ``integer``, of each value
-    into float64, with NaN for a value they refuse; only a column refused
-    somewhere is retried value by value."""
-    try:
-        return np.fromiter(map(float, map(int, values) if integer else values),
-                           np.float64, len(values))
-    except (ValueError, OverflowError):
-        out = np.full(len(values), np.nan)
-        for i, value in enumerate(values):
+    into float64, with NaN where a value does not read, and a mask of the
+    values that read.  A value reads when it is ASCII, holds no ``_`` and the
+    call accepts it: ``float`` and ``int`` also take digits of other scripts
+    and ``_`` between digits, which no CSV writer emits.  Only a column that
+    fails somewhere is visited value by value.
+    """
+    joined = "".join(values)
+    if joined.isascii() and "_" not in joined:
+        try:
+            return (np.fromiter(map(float, map(int, values) if integer else values),
+                                np.float64, len(values)), np.ones(len(values), bool))
+        except (ValueError, OverflowError):
+            pass
+    out, read = np.full(len(values), np.nan), np.zeros(len(values), bool)
+    for i, value in enumerate(values):
+        if value.isascii() and "_" not in value:
             try:
                 out[i] = float(int(value) if integer else value)
+                read[i] = True
             except (ValueError, OverflowError):
                 pass
-        return out
+    return out, read
 
 
 def _stamp_seconds(stamps) -> tuple:
     """Epoch seconds of ``stamps`` and a mask of the ones that hold them.
 
     A stamp holds its value when it is ``TIME_FORMAT`` at its fixed width of
-    19 ASCII characters with every field in range, day of month and leap
-    years included.  The days come from numpy's calendar and the seconds are
-    integers, so each value is the one ``_to_epoch`` gives for ``strptime``'s
-    datetime.  This is the only home of the fixed-width stamp rule; every
-    other stamp goes to ``strptime`` through ``_parse_row``.
+    19 ASCII characters, every field zero-padded and in range, day of month
+    and leap years included; any other spelling holds none.  The days come
+    from numpy's calendar and the seconds are integers.  This is the one
+    stamp rule, for the CSV and for ``parse_time`` alike.
     """
     fixed = np.fromiter(map(len, stamps), np.intp, len(stamps)) == len(_STAMP_SHAPE)
     codes = np.array(stamps, dtype=f"U{len(_STAMP_SHAPE)}").view(np.uint32)
@@ -569,7 +553,7 @@ def format_time(seconds: float) -> str:
 
 
 def parse_time(text: str) -> float:
-    try:
-        return _to_epoch(_parse_stamp(text))
-    except ValueError:
+    (seconds,), (valid,) = _stamp_seconds([text])
+    if not valid:
         raise UsageError(f"timestamp {text!r} does not match {TIME_FORMAT!r}")
+    return float(seconds)

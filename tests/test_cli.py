@@ -97,9 +97,8 @@ class TestPrepare:
         assert not (out / "prepare_summary.json").exists()
 
     def test_rejects_and_strptime_spellings(self, tmp_path):
-        # a row of ten fields, a nan temperature and 2016-02-30, which the
-        # column pass hands to strptime, are rejected; hour 99 spelled
-        # 2016-1-5 3:00:00, which only strptime reads, is kept
+        # a row of ten fields, a nan temperature, 2016-02-30 and the unpadded
+        # 2016-1-5 3:00:00, which strptime reads, are all rejected
         lines = write_csv(tmp_path / "odd.csv").read_text().splitlines()
         for i, column, value in ((10, 8, "1000,extra"), (20, 1, "nan"),
                                  (30, 7, "2016-02-30 10:00:00"), (100, 7, "2016-1-5 3:00:00")):
@@ -113,10 +112,11 @@ class TestPrepare:
         assert summary["rejects"] == [
             {"line": 11, "reason": "expected 9 fields, found 10"},
             {"line": 21, "reason": "non-finite temp"},
-            {"line": 31, "reason": "day is out of range for month"},
+            {"line": 31, "reason": "malformed date_time '2016-02-30 10:00:00'"},
+            {"line": 101, "reason": "malformed date_time '2016-1-5 3:00:00'"},
         ]
-        assert (summary["parsed"], summary["rejected"]) == (137, 3)
-        assert summary["cleaning"]["kept"] == 137
+        assert (summary["parsed"], summary["rejected"]) == (136, 4)
+        assert summary["cleaning"]["kept"] == 136
         assert summary["cleaning"]["duplicate_timestamps"] == 0
 
     def test_blocks_of_rows_write_the_same_cache(self, workspace, tmp_path, monkeypatch):
@@ -148,23 +148,51 @@ class TestPrepare:
                    "--window", "8") == 0
         summary = json.loads((tmp_path / "prepare_summary.json").read_text())
         assert summary["rejects"] == [
-            {"line": 6, "reason": "could not convert string to float: 'n/a'"},
-            {"line": 7, "reason": "invalid literal for int() with base 10: '12.5'"},
+            {"line": 6, "reason": "malformed rain_1h 'n/a'"},
+            {"line": 7, "reason": "malformed traffic_volume '12.5'"},
+        ]
+
+    def test_underscore_and_non_ascii_numbers_rejected(self, tmp_path):
+        # float and int read all four as numbers; no CSV writer emits them
+        lines = write_csv(tmp_path / "digits.csv").read_text().splitlines()
+        for i, column, value in ((5, 1, "2_80"), (6, 1, "٢٨٠"),
+                                 (7, 1, "２８０"), (8, 8, "1_000")):
+            fields = lines[i].split(",")
+            fields[column] = value
+            lines[i] = ",".join(fields)
+        (tmp_path / "digits.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run("prepare", "--csv", tmp_path / "digits.csv", "--out", tmp_path,
+                   "--window", "8") == 0
+        summary = json.loads((tmp_path / "prepare_summary.json").read_text())
+        assert summary["rejects"] == [
+            {"line": 6, "reason": "malformed temp '2_80'"},
+            {"line": 7, "reason": "malformed temp '٢٨٠'"},
+            {"line": 8, "reason": "malformed temp '２８０'"},
+            {"line": 9, "reason": "malformed traffic_volume '1_000'"},
         ]
 
     def test_strptime_spelling_keeps_its_value(self, workspace, tmp_path):
-        # 2016-1-1 1:00:00 fails the fixed-width stamp check; strptime reads
-        # it as the stamp it replaces, so the cache is the same
+        # strptime reads 2016-1-1 1:00:00 as the stamp it replaces; only the
+        # zero-padded width is accepted, so the row is a reject and the cached
+        # arrays are the file's without that row
         text = workspace["csv"].read_text()
         assert "2016-01-01 01:00:00" in text
         (tmp_path / "short.csv").write_text(text.replace("2016-01-01 01:00:00",
                                                          "2016-1-1 1:00:00"))
-        assert run("prepare", "--csv", tmp_path / "short.csv", "--out", tmp_path,
+        assert run("prepare", "--csv", tmp_path / "short.csv", "--out", tmp_path / "short",
                    "--window", "8") == 0
-        summary = json.loads((tmp_path / "prepare_summary.json").read_text())
-        assert (summary["parsed"], summary["rejected"]) == (140, 0)
-        assert ((tmp_path / "dataset.bin").read_bytes()
-                == (workspace["out"] / "dataset.bin").read_bytes())
+        summary = json.loads((tmp_path / "short" / "prepare_summary.json").read_text())
+        assert (summary["parsed"], summary["rejected"]) == (139, 1)
+        assert summary["rejects"] == [
+            {"line": 3, "reason": "malformed date_time '2016-1-1 1:00:00'"}]
+        lines = text.splitlines()
+        (tmp_path / "dropped.csv").write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+        assert run("prepare", "--csv", tmp_path / "dropped.csv", "--out", tmp_path / "dropped",
+                   "--window", "8") == 0
+        short, _ = read_blob(tmp_path / "short" / "dataset.bin")
+        dropped, _ = read_blob(tmp_path / "dropped" / "dataset.bin")
+        assert {k: v.tobytes() for k, v in short.items()} == {
+            k: v.tobytes() for k, v in dropped.items()}
 
     def test_no_accepted_rows_exit_two(self, tmp_path, capsys):
         lines = write_csv(tmp_path / "none.csv", hours=20).read_text().splitlines()

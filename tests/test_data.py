@@ -167,7 +167,7 @@ class TestParse:
         path = tmp_path / "huge.csv"
         path.write_text("\n".join([HEADER, csv_row(0, volume="9" * 400), csv_row(1)]) + "\n")
         columns, rejects = parse_csv(path)
-        assert rejects == [{"line": 2, "reason": "int too large to convert to float"}]
+        assert rejects == [{"line": 2, "reason": f"malformed traffic_volume '{'9' * 400}'"}]
         assert len(columns["date_time"]) == 1
 
     def test_peak_memory_bounded_by_output(self, tmp_path):
@@ -711,5 +711,7 @@ class TestTimeHelpers:
         with pytest.raises(UsageError, match="does not match"):
             parse_time(text)
 
-    def test_strptime_spellings_accepted(self):
-        assert parse_time("2016-3-5 17:00:00") == parse_time("2016-03-05 17:00:00")
+    def test_unpadded_spelling_refused(self):
+        # strptime reads it; parse_time takes the CSV's zero-padded width only
+        with pytest.raises(UsageError, match="does not match"):
+            parse_time("2016-3-5 17:00:00")

@@ -4,19 +4,19 @@
 replacement, the command ends in exit code 0 or 2 without an exception
 escaping ``main``, and a cache it writes holds a finite series.
 
-``_parse_stamp`` and the column pass's ``_stamp_seconds`` against
-``datetime.strptime`` as the oracle: ``_parse_stamp`` gives the same datetime
-or a ValueError with the same text, and a stamp ``_stamp_seconds`` accepts is
-one strptime reads, at the same epoch seconds.
+The column pass's ``_stamp_seconds`` against ``datetime.strptime`` as the
+oracle: a stamp is accepted exactly when it is zero-padded at the fixed width
+and strptime reads it, and it holds strptime's epoch seconds.
 
-``parse_csv``, which converts blocks of rows a column at a time, against a
-loop of ``_parse_row`` over every row as the oracle: the same columns, dtypes
-and bits, and the same rejects.
+``parse_csv``, which converts blocks of rows a column at a time, against
+``parse_by_rows``, a reading of one row at a time that shares no code with
+it: the same columns, dtypes and bits, and the same rejects.
 """
 
 import contextlib
 import csv
 import io
+import math
 import re
 import tempfile
 from datetime import datetime, timedelta
@@ -30,12 +30,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from metroflow import cli, data
-from metroflow.data import (RAW_COLUMNS, TIME_FORMAT, _parse_row, _parse_stamp,
-                             _stamp_seconds, _to_epoch, parse_csv)
+from metroflow.data import (MEASURED_COLUMNS, RAW_COLUMNS, TIME_FORMAT, _stamp_seconds,
+                             parse_csv)
 from metroflow.serialize import read_blob
 
 ROWS = 60
 START = datetime(2016, 1, 1)
+EPOCH = datetime(1970, 1, 1)
+PADDED = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}")
 WEATHER = ["Clear", "Clouds", "Rain"]
 
 
@@ -102,16 +104,16 @@ STAMPS = st.one_of(
 )
 
 
-def _read(parse, text):
-    try:
-        return repr(parse(text))
-    except ValueError as err:
-        return f"ValueError: {err}"
+def read_stamp(text) -> float:
+    """Epoch seconds of a zero-padded ``TIME_FORMAT`` stamp, read by strptime."""
+    if not PADDED.fullmatch(text):
+        raise ValueError(text)
+    return (datetime.strptime(text, TIME_FORMAT) - EPOCH).total_seconds()
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
 @given(text=STAMPS)
-@example(text="2012-1-2 9:00:00")             # strptime accepts single-digit fields
+@example(text="2012-1-2 9:00:00")             # strptime also reads single-digit fields
 @example(text="2016-01-01T00:00:00")          # ISO spellings strptime refuses
 @example(text="2016-01-01 00:00:00.5")
 @example(text="2016-01-01 00:00:00+01:00")
@@ -128,20 +130,52 @@ def _read(parse, text):
 @example(text="2016-01-01 00:00:60")
 @example(text="0000-01-01 00:00:00")
 @example(text="9999-12-31 23:59:59")
-def test_parse_stamp_matches_strptime(text):
-    expected = _read(lambda t: datetime.strptime(t, TIME_FORMAT), text)
-    assert _read(_parse_stamp, text) == expected
+def test_stamp_seconds_matches_strptime(text):
     (seconds,), (valid,) = _stamp_seconds([text])
-    if valid:
-        assert _to_epoch(datetime.strptime(text, TIME_FORMAT)) == seconds
+    try:
+        expected = read_stamp(text)
+    except ValueError:
+        assert not valid
     else:
-        # the column pass refuses a zero-padded ASCII stamp only when strptime does
-        padded = re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2} [0-9]{2}:[0-9]{2}:[0-9]{2}", text)
-        assert not padded or expected.startswith("ValueError")
+        assert valid and seconds == expected
+
+
+#: The columns ``parse_row`` returns, text first.
+PARSED = ("holiday", "weather_main", *MEASURED_COLUMNS, "date_time", "traffic_volume")
+
+
+def read_number(text, integer=False) -> float:
+    """``float(text)``, or ``float(int(text))``, of an ASCII field without ``_``."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return float(int(text) if integer else text)
+
+
+def parse_row(row) -> tuple:
+    """One CSV row as a tuple in ``PARSED`` order; a ValueError carries the
+    reason the row is rejected."""
+    if len(row) != len(RAW_COLUMNS):
+        raise ValueError(f"expected 9 fields, found {len(row)}")
+    values = []
+    for i, read in ((1, read_number), (2, read_number), (3, read_number), (4, read_number),
+                    (7, read_stamp), (8, lambda text: read_number(text, integer=True))):
+        try:
+            values.append(read(row[i]))
+        except (ValueError, OverflowError):
+            raise ValueError(f"malformed {RAW_COLUMNS[i]} {row[i]!r}") from None
+    *measured, when, volume = values
+    bad = [c for c, v in zip(MEASURED_COLUMNS, measured) if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"non-finite {bad[0]}")
+    if volume < 0:
+        raise ValueError("negative traffic_volume")
+    if not 0.0 <= measured[3] <= 100.0:
+        raise ValueError("clouds_all outside [0, 100]")
+    return (row[0], row[5], *measured, when, volume)
 
 
 def parse_by_rows(path) -> tuple:
-    """``parse_csv`` as one ``_parse_row`` call per row: its rows' tuples,
+    """``parse_csv`` as one ``parse_row`` call per row: its rows' tuples,
     transposed into columns, and the rejects in line order."""
     rows, rejects = [], []
     with open(path, newline="", encoding="utf-8") as handle:
@@ -150,12 +184,12 @@ def parse_by_rows(path) -> tuple:
         for row in reader:
             if row:
                 try:
-                    rows.append(_parse_row(row))
-                except (ValueError, OverflowError) as err:
+                    rows.append(parse_row(row))
+                except ValueError as err:
                     rejects.append({"line": reader.line_num, "reason": str(err)})
-    fields = list(zip(*rows)) or [()] * len(data._PARSED)
-    return {name: np.array(values, dtype=object if name in data._TEXT else np.float64)
-            for name, values in zip(data._PARSED, fields)}, rejects
+    fields = list(zip(*rows)) or [()] * len(PARSED)
+    return {name: np.array(values, dtype=object if i < 2 else np.float64)
+            for i, (name, values) in enumerate(zip(PARSED, fields))}, rejects
 
 
 def _two(low, high):
@@ -172,7 +206,7 @@ NUMBERS = st.one_of(
     st.floats(-1, 101).map(repr),
     st.integers(-3, 3).map(str),
     st.sampled_from(["-0", "-0.0", "100", "100.0000001", "1e999", "-inf", "nan", "9" * 400,
-                     " 7 ", "1_000", "٣", "0x10", "1.5"]),
+                     " 7 ", "1_000", "2_80", "٣", "２８０", "0x10", "1.5"]),
 )
 ROW = st.integers(0, ROWS - 1)
 
