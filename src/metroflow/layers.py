@@ -14,6 +14,11 @@ convolution rule: it runs (W, b) pairs from ``conv_weights``, as
 The convs read raw windows, so ``conv_stack`` gives no input gradient and
 refuses an input that needs one.  ``step`` is built from engine ops and is
 the reference for ``unroll`` in the tests.
+
+A layer computes in its parameters' dtype: ``conv_stack``, ``unroll`` and
+``AttentionHead`` cast their input to it and allocate their buffers in it,
+so float32 weights give float32 outputs and weight gradients whatever the
+input's dtype, and float64 weights run the same code in float64.
 """
 
 from __future__ import annotations
@@ -89,7 +94,8 @@ def conv_stack(x: Tensor, convs, relu: bool) -> Tensor:
         raise UsageError("conv_stack gives no input gradient; its input must not need one")
     if any(W.shape[2] % 2 == 0 for W, _ in convs):
         raise ConfigError(f"kernel sizes must be odd, got {[W.shape[2] for W, _ in convs]}")
-    data = x.data
+    dtype = convs[0][0].data.dtype
+    data = x.data.astype(dtype, copy=False)
     batch, n, width = data.shape
     K = max(W.shape[2] for W, _ in convs)
     pad = (K - 1) // 2
@@ -97,7 +103,7 @@ def conv_stack(x: Tensor, convs, relu: bool) -> Tensor:
     ends = np.cumsum([W.shape[0] for W, _ in convs])
     blocks = [(slice((K - W.shape[2]) // 2, (K + W.shape[2]) // 2),
                slice(end - W.shape[0], end)) for (W, _), end in zip(convs, ends)]
-    taps = np.zeros((K, width, ends[-1]))
+    taps = np.zeros((K, width, ends[-1]), dtype)
     for (W, _), (rows, cols) in zip(convs, blocks):
         taps[rows, :, cols] = W.data.transpose(2, 1, 0)
     parents = tuple(p for conv in convs for p in conv)
@@ -191,7 +197,8 @@ class LstmCell:
         [B, n, hidden]; gradients flow through the full unroll.
         """
         _check_batch(sequence, self.input_size, "lstm")
-        x = sequence.data
+        dtype = self.W_i.data.dtype
+        x = sequence.data.astype(dtype, copy=False)
         batch, n = x.shape[0], x.shape[1]
         if n < 1:
             raise UsageError("cannot unroll an empty sequence")
@@ -205,15 +212,16 @@ class LstmCell:
         wh, wx = np.ascontiguousarray(stacked[:, :H]), np.ascontiguousarray(stacked[:, H:])
         keep = records(parents)
         steps = n if keep else 1  # slots: under no_grad every step reuses slot 0
-        gates = np.empty((steps, 4 * H, batch))  # activated gates
-        inputs = np.zeros((steps, H + D + 1, batch))  # [h_{t-1}; x_t; 1], h_{-1} = 0
+        gates = np.empty((steps, 4 * H, batch), dtype)  # activated gates
+        inputs = np.zeros((steps, H + D + 1, batch), dtype)  # [h_{t-1}; x_t; 1], h_{-1} = 0
         inputs[:, H + D] = 1.0
         if keep:
-            cells = np.empty((n, H, batch))
-            tanh_c = np.empty((n, H, batch))
-        out = np.empty((batch, n, H))
-        h, c = None, np.zeros((H, batch))
-        # exp(-z) overflows to inf for z < -709, which gives the correct 0.0
+            cells = np.empty((n, H, batch), dtype)
+            tanh_c = np.empty((n, H, batch), dtype)
+        out = np.empty((batch, n, H), dtype)
+        h, c = None, np.zeros((H, batch), dtype)
+        # exp(-z) overflows to inf for z below -709 in float64 (about -88 in
+        # float32), which gives the correct 0.0
         with np.errstate(over="ignore"):
             for t in range(n):
                 slot = t if keep else 0
@@ -239,7 +247,7 @@ class LstmCell:
                         inputs[t + 1, :H] = h
 
         def backward(g):
-            dz = np.empty((4 * H, n, batch))  # d loss / d gate pre-activations
+            dz = np.empty((4 * H, n, batch), dtype)  # d loss / d gate pre-activations
             dh, dc = g[:, n - 1].T, 0.0
             for t in range(n - 1, -1, -1):
                 z, tc = gates[t], tanh_c[t]
@@ -296,7 +304,8 @@ class AttentionHead:
     def __call__(self, h: Tensor) -> Tensor:
         _check_batch(h, self.d_model, "attention")
         parents = (h, self.W_Q, self.W_K, self.W_V)
-        x, wq, wk, wv = (p.data for p in parents)
+        wq, wk, wv = (w.data for w in parents[1:])
+        x = h.data.astype(wq.dtype, copy=False)
         d_k = self.d_k
         q, k = x @ wq, x @ wk
         weights = q @ k.transpose(0, 2, 1)
@@ -315,7 +324,7 @@ class AttentionHead:
             dweights = g @ v.transpose(0, 2, 1)
             ds = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
             ds *= scale
-            dqkv = np.empty(x.shape[:2] + (3 * d_k,))  # d loss / d [q | k | v]
+            dqkv = np.empty(x.shape[:2] + (3 * d_k,), x.dtype)  # d loss / d [q | k | v]
             np.matmul(ds, k, out=dqkv[..., :d_k])
             np.matmul(ds.transpose(0, 2, 1), q, out=dqkv[..., d_k:2 * d_k])
             np.matmul(weights.transpose(0, 2, 1), g, out=dqkv[..., 2 * d_k:])

@@ -29,6 +29,9 @@ KINDS = tuple(STAGES)
 #: Windows per forward pass in ``predict``.
 PREDICT_BATCH = 256
 
+#: The dtype a built model's parameters, and so its computation, take.
+DTYPE = np.float32
+
 
 def _is_int(value) -> bool:
     """True for an int that is not a bool (``isinstance(True, int)`` holds)."""
@@ -80,7 +83,11 @@ class ModelSpec:
 
 
 class ForecastModel:
-    """One built architecture: ordered layers plus a parameter registry."""
+    """One built architecture: ordered layers plus a parameter registry.
+
+    The parameters are the float64 Glorot draws cast to ``DTYPE``.  The
+    model computes in its parameters' dtype, so casting them back to float64
+    gives the float64 model through the same code."""
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
@@ -107,9 +114,16 @@ class ForecastModel:
         named.append(("head", self.head.parameters()))
         self._params = {f"{prefix}/{name}": p for prefix, params in named
                         for name, p in params.items()}
+        for p in self._params.values():
+            p.data = p.data.astype(DTYPE)
 
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._params)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The parameters' dtype, in which the model computes."""
+        return self.head.W.data.dtype
 
     def _multi_scale(self, x3: Tensor) -> Tensor:
         """The conv branches, each with its ReLU, concatenated over channels:
@@ -141,7 +155,7 @@ class ForecastModel:
         chunks = []
         with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(windows), PREDICT_BATCH):
-                chunk = windows[start:start + PREDICT_BATCH]
+                chunk = windows[start:start + PREDICT_BATCH].astype(self.dtype, copy=False)
                 chunks.append(self.forward_batch(Tensor(chunk)).data)
         preds = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, self.spec.horizon))
         if not np.isfinite(preds).all():
@@ -152,7 +166,8 @@ class ForecastModel:
 
     def save(self, path, data_hash: str) -> None:
         """Write the spec, the weights and the hash of the prepared dataset
-        they were trained on; ``load`` refuses a checkpoint without one."""
+        they were trained on; ``load`` refuses a checkpoint without one.
+        The weights are stored as float64, which holds float32 exactly."""
         arrays = {name: p.data for name, p in self._params.items()}
         meta = {"model_spec": self.spec.to_dict(), "data_hash": data_hash}
         write_blob(path, arrays, meta)
@@ -180,9 +195,12 @@ class ForecastModel:
                     f"{path}: checkpoint entry {name} has shape {arrays[name].shape}, "
                     f"expected {p.data.shape}"
                 )
-            if not np.isfinite(arrays[name]).all():
-                raise SchemaError(f"{path}: checkpoint entry {name} holds non-finite values")
-            p.data[...] = arrays[name]
+            with np.errstate(over="ignore"):
+                value = arrays[name].astype(p.data.dtype)
+            if not np.isfinite(value).all():
+                raise SchemaError(f"{path}: checkpoint entry {name} holds non-finite values "
+                                  f"as {p.data.dtype}")
+            p.data = value
         return model, meta
 
 

@@ -4,6 +4,8 @@ Layout: one line of canonical JSON (sorted keys, no extra whitespace)
 terminated by a newline, followed by the concatenated little-endian f64
 payloads.  The header lists every entry's name, shape and byte offset into
 the payload, so the format is self-describing and round-trips bit-exactly.
+Storage stays float64: a float32 array, such as a model's weights, is
+written widened, which is exact, and read back as float64.
 Every artifact is written through ``atomic_write``, never half-written.
 """
 

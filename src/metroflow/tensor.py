@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 or float64 tensors with reverse-mode automatic differentiation.
 
 The graph is built eagerly during the forward pass: every operation whose
 inputs require gradients returns a tensor holding references to its parents
@@ -10,6 +10,11 @@ on the same graph is rejected; rebuild the forward pass instead.
 One shape rule: elementwise arithmetic takes operands of equal shape,
 ``matmul`` takes an [m, k] and a [k, n] matrix, and ``Tensor.expand`` is
 the only broadcast.  Anything else is a DimensionError naming both shapes.
+
+One dtype rule: a tensor holds float32 or float64, and a gradient has its
+tensor's dtype.  An op on operands of different dtypes follows numpy's
+promotion, so float32 with float64 computes in float64; the layers compute
+in their parameters' dtype.
 """
 
 from __future__ import annotations
@@ -46,12 +51,16 @@ def no_grad():
 
 
 class Tensor:
-    """n-dimensional float64 array participating in a backward graph."""
+    """n-dimensional array participating in a backward graph.
+
+    A float32 array stays float32; anything else becomes float64.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_spent")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype == np.float32 else data.astype(np.float64, copy=False)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -148,7 +157,8 @@ class Tensor:
         return Tensor._from_op(out, (self,), lambda g: _accum(self, g * (1.0 - out * out)))
 
     def sigmoid(self):
-        # exp(-x) overflows to inf for x < -709, which gives the correct 0.0
+        # exp(-x) overflows to inf for x below -709 in float64 (about -88 in
+        # float32), which gives the correct 0.0
         with np.errstate(over="ignore"):
             out = 1.0 / (1.0 + np.exp(-self.data))
         return Tensor._from_op(out, (self,), lambda g: _accum(self, g * out * (1.0 - out)))
@@ -221,11 +231,11 @@ def _as_tensor(value) -> Tensor:
 
 
 def _accum(t: Tensor, g) -> None:
-    """Add ``g``, which must already have ``t``'s shape, into ``t.grad``.
-    The first write stores a copy, as ``g`` may be a view or reach two
-    parents."""
+    """Add ``g``, which must already have ``t``'s shape, into ``t.grad`` in
+    ``t``'s dtype.  The first write stores a copy, as ``g`` may be a view or
+    reach two parents."""
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = np.array(g, dtype=t.data.dtype)
     else:
         t.grad += g
 

@@ -147,11 +147,12 @@ class Adam:
 
 
 def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients so their global L2 norm, summed in float64, is at
+    most max_norm; each gradient keeps its dtype."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
-            total += float((p.grad * p.grad).sum())
+            total += float(np.square(p.grad, dtype=np.float64).sum())
     norm = float(np.sqrt(total))
     if norm > max_norm:
         scale = max_norm / norm
@@ -171,7 +172,8 @@ def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
     the first step.  A non-finite loss aborts with the epoch, batch and loss
     value; a non-finite prediction or metric is a NumericError.  Steps run
     with numpy's overflow and invalid warnings off, so weights that diverge
-    mid-epoch end in that error and not in a RuntimeWarning.
+    mid-epoch end in that error and not in a RuntimeWarning.  Windows and
+    targets are gathered in the model's dtype.
     """
     config.validate()
     started = time.perf_counter()
@@ -191,8 +193,8 @@ def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
         with np.errstate(over="ignore", invalid="ignore"):
             for batch_index, start in enumerate(range(0, count, config.batch_size)):
                 rows = order[start:start + config.batch_size]
-                pred = model.forward_batch(Tensor(tr.windows[rows]))
-                loss = mse_loss(pred, Tensor(tr.targets[rows]))
+                pred = model.forward_batch(Tensor(tr.windows[rows].astype(model.dtype)))
+                loss = mse_loss(pred, Tensor(tr.targets[rows].astype(model.dtype)))
                 value = loss.item()
                 if not np.isfinite(value):
                     raise NumericError(

@@ -300,13 +300,14 @@ class TestTrain:
         assert not list(tmp_path.iterdir())
 
     def test_diverged_weights_exit_one_without_artifacts(self, workspace, tmp_path, capsys):
-        # one Adam step at lr 1e300 leaves weights whose validation forecasts overflow
+        # one Adam step at lr 1e300 leaves float32 weights whose validation
+        # forecasts overflow
         out = tmp_path / "out"
         code = run("train", "--model", "lstm_cnn", "--out", out, "--data",
                    workspace["out"] / "dataset.bin", *SMALL, "--batch", "5000", "--lr", "1e300")
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: metrics are not finite") and "Traceback" not in err
+        assert err.startswith("error: model outputs are not finite") and "Traceback" not in err
         assert not (out / "model_lstm_cnn.bin").exists()
         assert not (out / "train_report_lstm_cnn.json").exists()
 
@@ -490,8 +491,8 @@ def _entry(header, name):
 
 
 #: case -> (edited artifact, edit, text the error holds).  The edit changes the
-#: parsed header in place, bytes replace the header line, and None overwrites
-#: the payload with NaN.
+#: parsed header in place, bytes replace the header line, and a float overwrites
+#: every payload value with itself.
 CORRUPTIONS = {
     "entry-without-offset": ("checkpoint", lambda h: h["entries"][0].pop("offset"),
                              "has a malformed entry"),
@@ -518,8 +519,10 @@ CORRUPTIONS = {
     "window-past-series-end": ("dataset", lambda h: h["meta"].update(window=1000),
                                "malformed dataset cache: series of 140 records cannot fit "
                                "one window of 1000+1 steps"),
-    "nan-payload": ("dataset", None, "malformed dataset cache: non-finite values"),
-    "checkpoint-nan-payload": ("checkpoint", None, "holds non-finite values"),
+    "nan-payload": ("dataset", np.nan, "malformed dataset cache: non-finite values"),
+    "checkpoint-nan-payload": ("checkpoint", np.nan, "holds non-finite values"),
+    # finite as float64, stored as float64, but past float32's range
+    "checkpoint-float32-overflow": ("checkpoint", 1e300, "holds non-finite values as float32"),
     "checkpoint-missing-entry": ("checkpoint",
                                  lambda h: h["entries"].remove(_entry(h, "head/b")),
                                  "checkpoint parameters ['head/b'] do not match the spec"),
@@ -546,8 +549,8 @@ def test_corrupted_artifact_exit_two(workspace, tmp_path, capsys, case):
         blob = src.read_bytes()
         if name == target:
             line, payload = blob.split(b"\n", 1)
-            if edit is None:
-                payload = np.full(len(payload) // 8, np.nan).tobytes()
+            if isinstance(edit, float):
+                payload = np.full(len(payload) // 8, edit).tobytes()
             elif isinstance(edit, bytes):
                 line = edit
             else:

@@ -475,6 +475,56 @@ class TestNoGradForward:
         assert peak < 3 * out
 
 
+class TestFloat32:
+    """A layer computes in its parameters' dtype: float32 weights give a
+    float32 output and float32 weight gradients even from a float64 input,
+    whose gradient stays float64, and the float32 output is the float64
+    one rounded to float32 accuracy."""
+
+    @staticmethod
+    def run(layer, x, needs_grad):
+        leaf = Tensor(x, requires_grad=needs_grad)
+        out = layer(leaf)
+        (out * out).sum().backward()
+        return leaf, out
+
+    def check(self, make, x, needs_grad=True):
+        wide_layer, _ = make()
+        _, wide = self.run(wide_layer, x, needs_grad)
+        layer, params = make()
+        for p in params:  # as ``ForecastModel`` casts its parameters
+            p.data = p.data.astype(np.float32)
+        leaf, out = self.run(layer, x, needs_grad)
+        assert out.data.dtype == np.float32
+        np.testing.assert_allclose(out.data, wide.data, rtol=1e-4, atol=1e-5)
+        assert leaf.data.dtype == np.float64
+        assert leaf.grad.dtype == np.float64 if needs_grad else leaf.grad is None
+        for p in params:
+            assert p.data.dtype == np.float32 and p.grad.dtype == np.float32
+
+    def test_lstm(self):
+        def make():
+            cell = LstmCell(5, 4, make_rng(60))
+            return cell.unroll, list(cell.parameters().values())
+
+        self.check(make, make_rng(61).uniform(-2, 2, (3, 7, 5)))
+
+    def test_attention(self):
+        def make():
+            head = AttentionHead(5, 4, make_rng(62))
+            return head, list(head.parameters().values())
+
+        self.check(make, make_rng(63).uniform(-2, 2, (3, 7, 5)))
+
+    def test_conv_stack(self):
+        def make():
+            convs = [conv_weights(5, 2, k, make_rng(64 + k)) for k in (1, 3, 5)]
+            return (lambda x: conv_stack(x, convs, relu=True)), [p for c in convs for p in c]
+
+        # the convs read raw windows: the leaf needs no gradient
+        self.check(make, make_rng(65).uniform(-2, 2, (3, 7, 5)), needs_grad=False)
+
+
 class TestDense:
     def test_identity(self):
         layer = Dense(3, 3, make_rng())

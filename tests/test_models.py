@@ -1,10 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import test_layers
 from gradcheck import assert_gradients_match
-from metroflow.errors import CompatibilityError, ConfigError, DimensionError, NumericError
+from metroflow import models
+from metroflow.errors import (CompatibilityError, ConfigError, DimensionError, NumericError,
+                              SchemaError)
 from metroflow.models import KINDS, ForecastModel, ModelSpec, build_model
+from metroflow.serialize import read_blob, write_blob
 from metroflow.tensor import Tensor, no_grad
 from metroflow.training import mse_loss
 
@@ -16,6 +21,14 @@ def small_spec(kind, **overrides):
                 conv_filters=4, kernel_sizes=(3, 5, 7), d_k=6, seed=0)
     base.update(overrides)
     return ModelSpec(**base)
+
+
+def float64(model):
+    """``model`` with every parameter cast to float64: the model the 1e-12
+    references and the finite-difference oracle check, run by the same code."""
+    for p in model.parameters().values():
+        p.data = p.data.astype(np.float64)
+    return model
 
 
 def closed_form(spec):
@@ -132,7 +145,7 @@ class TestForward:
     def test_overflowing_outputs_raise_numeric_error(self, kind):
         model = build_model(small_spec(kind, seed=5))
         for p in model.parameters().values():
-            p.data[...] = 1e308
+            p.data[...] = np.finfo(p.data.dtype).max / 2
         windows = np.random.default_rng(6).standard_normal((3, 8, 5))
         with pytest.raises(NumericError, match="finite"):
             model.predict(windows)
@@ -144,7 +157,7 @@ class TestMultiScale:
     @pytest.mark.parametrize("batch", [3, 32])
     @pytest.mark.parametrize("kernels", [(3, 5, 7), (1, 5)])
     def test_matches_branch_chain(self, batch, kernels):
-        model = build_model(small_spec("cnn_attention", kernel_sizes=kernels, seed=15))
+        model = float64(build_model(small_spec("cnn_attention", kernel_sizes=kernels, seed=15)))
         rng = np.random.default_rng(16)
         for _, b in model.convs:
             b.data[...] = rng.normal(size=b.shape)
@@ -159,8 +172,8 @@ class TestMultiScale:
                 np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_gradients(self):
-        model = build_model(small_spec("cnn_attention", kernel_sizes=(1, 3), conv_filters=2,
-                                       seed=17))
+        model = float64(build_model(small_spec("cnn_attention", kernel_sizes=(1, 3),
+                                               conv_filters=2, seed=17)))
         rng = np.random.default_rng(18)
         x = Tensor(rng.uniform(-1, 1, (2, 8, 5)))
         weights = Tensor(rng.normal(size=(2, 8, 4)))
@@ -187,7 +200,7 @@ class TestMultiScale:
 class TestBatch:
     @pytest.mark.parametrize("kind", KINDS)
     def test_batch_matches_loop(self, kind):
-        model = build_model(small_spec(kind, seed=7))
+        model = float64(build_model(small_spec(kind, seed=7)))
         rng = np.random.default_rng(8)
         windows = rng.standard_normal((32, 8, 5))
         batched = model.forward_batch(Tensor(windows)).data
@@ -196,7 +209,7 @@ class TestBatch:
             np.testing.assert_allclose(batched[i], single[0], atol=1e-12, rtol=0)
 
     def test_single_row_batch(self):
-        model = build_model(small_spec("lstm_cnn", seed=9))
+        model = float64(build_model(small_spec("lstm_cnn", seed=9)))
         w = np.random.default_rng(10).standard_normal((1, 8, 5))
         np.testing.assert_allclose(model.forward_batch(Tensor(w)).data, model.predict(w),
                                    atol=1e-12)
@@ -269,7 +282,6 @@ class TestCheckpoint:
         assert (loaded.predict(windows) == before).all()
 
     def test_mismatched_params_rejected(self, tmp_path):
-        from metroflow.serialize import read_blob, write_blob
         model = build_model(small_spec("lstm_attention", seed=34))
         path = tmp_path / "m.bin"
         model.save(path, data_hash="abc123")
@@ -278,3 +290,47 @@ class TestCheckpoint:
         write_blob(path, arrays, meta)
         with pytest.raises(CompatibilityError):
             ForecastModel.load(path)
+
+    def test_entry_finite_only_as_float64_rejected(self, tmp_path):
+        # 1e300 is finite as float64 but overflows float32
+        path = tmp_path / "m.bin"
+        build_model(small_spec("lstm_cnn", seed=35)).save(path, data_hash="abc123")
+        arrays, meta = read_blob(path)
+        arrays["head/W"] = np.full_like(arrays["head/W"], 1e300)
+        write_blob(path, arrays, meta)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SchemaError, match=f"{path}: checkpoint entry head/W holds "
+                                                  "non-finite values as float32"):
+                ForecastModel.load(path)
+
+
+class TestFloat32:
+    """A built model computes in float32: its parameters are the float64
+    Glorot draws rounded once."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_parameters_are_rounded_float64_draws(self, kind, monkeypatch):
+        model = build_model(small_spec(kind, seed=36))
+        monkeypatch.setattr(models, "DTYPE", np.float64)
+        wide = build_model(small_spec(kind, seed=36)).parameters()
+        assert model.dtype == np.float32
+        for name, p in model.parameters().items():
+            assert wide[name].data.dtype == np.float64
+            assert (p.data == wide[name].data.astype(np.float32)).all(), name
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_saturated_windows_finite_without_warnings(self, kind):
+        # float32 exp overflows near 88, not 709
+        model = build_model(small_spec(kind, seed=37))
+        rng = np.random.default_rng(38)
+        windows = rng.choice([-800.0, 800.0], size=(4, 8, 5)).astype(np.float32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred = model.forward_batch(Tensor(windows))
+            mse_loss(pred, Tensor(rng.standard_normal((4, 1)).astype(np.float32))).backward()
+            preds = model.predict(windows)
+        assert pred.data.dtype == preds.dtype == np.float32
+        assert np.isfinite(pred.data).all() and np.isfinite(preds).all()
+        for name, p in model.parameters().items():
+            assert p.grad.dtype == np.float32 and np.isfinite(p.grad).all(), name

@@ -271,3 +271,47 @@ class TestDeterminismAndNoGrad:
         x = Tensor([2.0], requires_grad=True)
         numeric = numerical_grad(lambda t: (t * t).sum(), [x], 0)
         assert max_relative_error(np.array([4.0]), numeric) < 1e-8
+
+
+class TestDtype:
+    """One dtype rule: float32 stays float32, anything else becomes float64,
+    mixed operands follow numpy's promotion, and a gradient has its tensor's dtype."""
+
+    @pytest.mark.parametrize("value, dtype", [
+        (np.ones(3, np.float32), np.float32),
+        (np.ones(3), np.float64),
+        (np.ones(3, np.int64), np.float64),
+        (np.ones(3, np.float16), np.float64),
+        ([1.0, 2.0], np.float64),
+        (2, np.float64),
+    ])
+    def test_constructor(self, value, dtype):
+        assert Tensor(value).data.dtype == dtype
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.matmul])
+    def test_mixed_operands_promote_and_grads_keep_their_dtype(self, op):
+        rng = np.random.default_rng(51)
+        a = Tensor(rng.normal(size=(3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        out = op(a, b)
+        assert out.data.dtype == np.float64
+        out.sum().backward()
+        assert a.grad.dtype == np.float32 and b.grad.dtype == np.float64
+
+    def test_float32_graph_stays_float32(self):
+        x = Tensor(np.random.default_rng(52).normal(size=(2, 3)).astype(np.float32),
+                   requires_grad=True)
+        y = concat([x, x], axis=0)
+        loss = (softmax(y.tanh().sigmoid(), axis=-1).transpose((1, 0)).mean(axis=0)
+                * Tensor(np.ones(4, np.float32))).sum()
+        assert loss.data.dtype == np.float32
+        loss.backward()
+        assert x.grad.dtype == np.float32
+
+    def test_fan_out_of_float64_gradients_keeps_float32(self):
+        # a float32 leaf reached twice by float64 gradients accumulates in float32
+        w = Tensor(np.array([1.5, -2.0], np.float32), requires_grad=True)
+        c = Tensor(np.array([3.0, 4.0]))
+        (w * c + w * c).sum().backward()
+        assert w.grad.dtype == np.float32
+        np.testing.assert_array_equal(w.grad, [6.0, 8.0])

@@ -135,6 +135,15 @@ class TestOptimizers:
         opt.step()
         assert w.grad is None
 
+    def test_adam_keeps_float32_parameters_float32(self):
+        w = Tensor(np.array([2.0, -3.0], np.float32), requires_grad=True)
+        opt = Adam({"w": w}, learning_rate=0.1)
+        for grad in (np.array([0.5, -4.0], np.float32), None):
+            w.grad = grad
+            opt.step()
+            assert w.data.dtype == np.float32
+            assert opt.m["w"].dtype == opt.v["w"].dtype == np.float32
+
 
 class TestClip:
     def test_norm_reported_and_untouched_below_limit(self):
@@ -159,6 +168,15 @@ class TestClip:
         clip_grad_norm({"a": a, "b": b}, 5.0)
         np.testing.assert_allclose(a.grad, [3.0])
         np.testing.assert_allclose(b.grad, [4.0])
+
+    def test_float32_gradients_stay_float32(self):
+        # the norm sums in float64: 1e20 squared overflows float32 but not the sum
+        a = Tensor(np.zeros(2, np.float32), requires_grad=True)
+        a.grad = np.array([3e20, 4e20], np.float32)
+        norm = clip_grad_norm({"a": a}, 5.0)
+        assert norm == pytest.approx(5e20, rel=1e-6)
+        assert a.grad.dtype == np.float32
+        np.testing.assert_allclose(a.grad, [3.0, 4.0], rtol=1e-6)
 
 
 class TestConfig:
@@ -258,7 +276,8 @@ class TestTrainLoop:
         assert reports[0] == reports[1]
 
 
-#: 30 Adam steps of mstim at the paper's shapes; prints a digest of the weight bytes.
+#: 30 Adam steps of mstim at the paper's shapes, in float32 as ``train`` runs
+#: them; prints a digest of the weight bytes.
 ADAM_RUN = """
 import hashlib
 import numpy as np
@@ -270,11 +289,12 @@ params = model.parameters()
 optimizer = Adam(params)
 rng = np.random.default_rng(5)
 for _ in range(30):
-    loss = mse_loss(model.forward_batch(Tensor(rng.standard_normal((32, 24, 21)))),
-                    Tensor(rng.standard_normal((32, 1))))
+    loss = mse_loss(model.forward_batch(Tensor(rng.standard_normal((32, 24, 21), np.float32))),
+                    Tensor(rng.standard_normal((32, 1), np.float32)))
     loss.backward()
     clip_grad_norm(params, 5.0)
     optimizer.step()
+assert all(p.data.dtype == np.float32 for p in params.values())
 digest = hashlib.sha256()
 for name in sorted(params):
     digest.update(params[name].data.tobytes())
