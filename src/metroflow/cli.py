@@ -216,15 +216,14 @@ def cmd_prepare(settings: Settings) -> int:
         raise UsageError("prepare needs --csv pointing at the traffic-volume CSV")
     out = settings.out_dir()
     csv_path = need_file(csv_path, "--csv", f"CSV not found at {csv_path}")
-    bundle = prepare_dataset(csv_path, n=settings.get("window"),
-                             horizon=settings.get("horizon"))
+    bundle, summary = prepare_dataset(csv_path, n=settings.get("window"),
+                                      horizon=settings.get("horizon"))
     cache = out / DATASET_FILE
     save_cache(bundle, cache)
-    write_json(out / "prepare_summary.json", bundle.summary)
-    counts = bundle.summary["window_counts"]
-    print(f"parsed {bundle.summary['parsed']} records "
-          f"({bundle.summary['rejected']} rejected, "
-          f"{bundle.summary['cleaning']['kept']} kept after cleaning)")
+    write_json(out / "prepare_summary.json", summary)
+    counts = summary["window_counts"]
+    print(f"parsed {summary['parsed']} records ({summary['rejected']} rejected, "
+          f"{summary['cleaning']['kept']} kept after cleaning)")
     print(f"windows: train={counts['train']} val={counts['val']} test={counts['test']}")
     print(f"cache written to {cache}")
     return 0

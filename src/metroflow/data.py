@@ -12,17 +12,20 @@ statistics come from the training rows only, and windows never cross a split
 boundary or a timeline gap longer than six hours; ``_gap_free`` decides that
 for the split windows and for predict's history windows alike.  Both are
 ``Windows`` views: the series and the window start rows, gathered into
-``[B, n, d]`` only for the rows a batch or prediction chunk reads.  The
-dataset cache holds only the standardized series, its times and statistics;
-``load_cache`` derives the split bounds, window starts and ``data_hash`` with
-the code ``split_and_window`` uses.
+``[B, n, d]`` only for the rows a batch or prediction chunk reads.
+``prepare_dataset`` returns the bundle and, beside it, the prepare report.
+The dataset cache holds the bundle's primary data only: the standardized
+series, its times and statistics, the window, horizon and vocabulary, and
+no part of the report.  ``load_cache`` derives the split bounds, window
+starts and ``data_hash`` with the code ``split_and_window`` uses, so a
+loaded bundle is the bundle prepare built.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+import sys
+from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
@@ -46,7 +49,6 @@ SPLITS = ("train", "val", "test")
 SPLIT_RATIOS = (0.7, 0.1, 0.2)
 
 TIME_FORMAT = "%Y-%m-%d %H:%M:%S"
-_EPOCH = datetime(1970, 1, 1)
 
 #: Consecutive records further apart than this do not share a window.
 MAX_GAP_SECONDS = 6 * 3600
@@ -83,10 +85,6 @@ _STAMP_CODES = np.array([ord(c) for c in _STAMP_SHAPE], dtype=np.uint32)
 _STAMP_TENS = np.array([5, 8, 11, 14, 17])
 
 
-def _from_epoch(seconds: float) -> datetime:
-    return _EPOCH + timedelta(seconds=float(seconds))
-
-
 def parse_csv(path) -> tuple:
     """Read the nine-column traffic CSV into ``(columns, rejects)``.
 
@@ -103,7 +101,6 @@ def parse_csv(path) -> tuple:
     """
     blocks = []
     rejects = []
-    text = {}  # one str object per distinct holiday and weather_main value
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
@@ -123,9 +120,9 @@ def parse_csv(path) -> tuple:
                     rows.append(row)
                     lines.append(reader.line_num)
                     if len(rows) == _BLOCK_ROWS:
-                        blocks.append(_convert_block(rows, lines, text, rejects))
+                        blocks.append(_convert_block(rows, lines, rejects))
                         rows, lines = [], []
-            blocks.append(_convert_block(rows, lines, text, rejects))
+            blocks.append(_convert_block(rows, lines, rejects))
         except (csv.Error, UnicodeDecodeError) as err:
             raise SchemaError(
                 f"{path}: unreadable CSV ({reader.line_num} lines read): {err}") from None
@@ -133,7 +130,7 @@ def parse_csv(path) -> tuple:
             for name in _PARSED}, rejects
 
 
-def _convert_block(rows, lines, text, rejects) -> dict:
+def _convert_block(rows, lines, rejects) -> dict:
     """The ``_PARSED`` columns of one block's accepted rows.
 
     The rows nine fields wide are transposed and converted a column at a
@@ -141,8 +138,8 @@ def _convert_block(rows, lines, text, rejects) -> dict:
     ``_READ`` and then ``_RULES``.  A row is rejected when it is not nine
     fields wide, or else by the first check it fails: a field that does not
     read gives ``malformed <column> '<value>'``, a value that breaks a rule
-    that rule's reason.  Rejects go to ``rejects`` in line order.  ``text``
-    maps each text value seen so far to the one object kept for it.
+    that rule's reason.  Rejects go to ``rejects`` in line order.  Text
+    values are interned, so each distinct one is one object across blocks.
     """
     full = np.fromiter(map(len, rows), np.intp, len(rows)) == len(RAW_COLUMNS)
     fields = list(zip(*compress(rows, full))) or [()] * len(RAW_COLUMNS)
@@ -168,9 +165,7 @@ def _convert_block(rows, lines, text, rejects) -> dict:
         rejects.append({"line": lines[i], "reason": reason})
     columns = dict(zip(_PARSED[2:], np.array([*measured, stamps, volume])[:, ok]))
     for name, i in zip(_TEXT, (0, 5)):
-        for value in set(fields[i]):
-            text.setdefault(value, value)
-        column = np.fromiter(map(text.__getitem__, fields[i]), object, len(fields[i]))
+        column = np.fromiter(map(sys.intern, fields[i]), object, len(fields[i]))
         columns[name] = column[ok]
     return columns
 
@@ -346,7 +341,6 @@ class DatasetBundle:
     series: np.ndarray  # [L, d] standardized, full timeline
     times: np.ndarray   # [L] epoch seconds
     bounds: tuple       # (train_end, val_end) row indices
-    summary: dict = field(default_factory=dict)
     data_hash: str = ""
 
     @property
@@ -409,7 +403,7 @@ def split_and_window(features, times, vocab, n: int, horizon: int) -> DatasetBun
     return _bundle(series, times, stats, vocab, n, horizon)
 
 
-def _bundle(series, times, stats, vocab, n, horizon, summary=None) -> DatasetBundle:
+def _bundle(series, times, stats, vocab, n, horizon) -> DatasetBundle:
     """The windowed splits of a standardized series; its split bounds, window
     starts and ``data_hash`` all follow from it, for prepare and load_cache alike."""
     train_end, val_end = bounds = _boundaries(len(series))
@@ -428,7 +422,7 @@ def _bundle(series, times, stats, vocab, n, horizon, summary=None) -> DatasetBun
         **{name: _windowed(series, times, lo, hi, n, horizon, name, stats)
            for name, (lo, hi) in spans},
         stats=stats, vocab=tuple(vocab), window=n, horizon=horizon, series=series,
-        times=times, bounds=bounds, summary=summary or {}, data_hash=data_hash,
+        times=times, bounds=bounds, data_hash=data_hash,
     )
 
 
@@ -445,8 +439,9 @@ def _encode_csv(csv_path) -> tuple:
 
 
 def prepare_dataset(csv_path, n: int = ModelSpec.window,
-                    horizon: int = ModelSpec.horizon) -> DatasetBundle:
-    """Full pipeline from CSV to windowed splits, with a run summary.
+                    horizon: int = ModelSpec.horizon) -> tuple:
+    """Full pipeline from CSV to windowed splits: ``(bundle, summary)``, where
+    the summary is the prepare report, every reject and count included.
 
     The weather vocabulary is discovered on the training portion of the
     cleaned timeline so evaluation-only categories cannot widen the feature
@@ -458,7 +453,7 @@ def prepare_dataset(csv_path, n: int = ModelSpec.window,
     except NumericError as err:
         raise ConfigError(f"{csv_path}: {err}") from None
     train_end, val_end = bundle.bounds
-    bundle.summary = {
+    return bundle, {
         "parsed": sum(counts.values()),  # clean keeps or counts every parsed row
         "rejected": len(rejects),
         "rejects": rejects,
@@ -472,12 +467,13 @@ def prepare_dataset(csv_path, n: int = ModelSpec.window,
                                         len(bundle.series) - val_end))),
         "window_counts": {name: len(getattr(bundle, name).windows) for name in SPLITS},
     }
-    return bundle
 
 
 def save_cache(bundle: DatasetBundle, path) -> None:
-    """Persist the standardized series, times and statistics.  ``data_hash``
-    stays in the header for tools that read only that; load_cache recomputes it."""
+    """Persist the standardized series, times and statistics, and the window,
+    horizon and vocabulary; nothing of the prepare report.  ``data_hash`` stays
+    in the header for the benchmark's ingest check, which reads only that;
+    load_cache recomputes it."""
     arrays = {
         "series": bundle.series,
         "times": bundle.times,
@@ -489,7 +485,6 @@ def save_cache(bundle: DatasetBundle, path) -> None:
         "window": bundle.window,
         "horizon": bundle.horizon,
         "vocab": list(bundle.vocab),
-        "summary": bundle.summary,
         "data_hash": bundle.data_hash,
     }
     write_blob(path, arrays, meta)
@@ -518,7 +513,8 @@ def _cache_problem(arrays: dict, meta: dict) -> str | None:
 
 def load_cache(path) -> DatasetBundle:
     """The bundle ``save_cache`` wrote, rebuilt by the code that built it in
-    prepare; entries and keys other than the primary data are ignored."""
+    prepare; entries and keys other than the primary data, such as the
+    ``summary`` that earlier caches carried, are ignored."""
     arrays, meta = read_blob(path)
     if meta.get("kind") != DATASET_FORMAT:
         raise SchemaError(f"{path}: not a dataset cache (kind={meta.get('kind')!r})")
@@ -527,7 +523,7 @@ def load_cache(path) -> DatasetBundle:
         raise SchemaError(f"{path}: malformed dataset cache: {problem}")
     return _bundle(arrays["series"], arrays["times"],
                    Stats(mean=arrays["mean"], std=arrays["std"]), meta["vocab"],
-                   meta["window"], meta["horizon"], summary=meta.get("summary", {}))
+                   meta["window"], meta["horizon"])
 
 
 def window_before(bundle: DatasetBundle, rows: np.ndarray) -> Windows:
@@ -549,7 +545,9 @@ def window_before(bundle: DatasetBundle, rows: np.ndarray) -> Windows:
 
 
 def format_time(seconds: float) -> str:
-    return _from_epoch(seconds).strftime(TIME_FORMAT)
+    """``TIME_FORMAT`` of epoch seconds by numpy's calendar, the one
+    ``_stamp_seconds`` reads, so the year is zero-padded to four digits."""
+    return str(np.datetime64(int(seconds), "s")).replace("T", " ")
 
 
 def parse_time(text: str) -> float:

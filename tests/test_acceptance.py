@@ -44,7 +44,8 @@ needs_dataset = pytest.mark.skipif(
 
 
 @pytest.fixture(scope="session")
-def mitv_bundle():
+def mitv_prepared():
+    """The MITV CSV's ``(bundle, summary)``."""
     return prepare_dataset(MITV_PATH)
 
 
@@ -155,13 +156,14 @@ def test_overfit_sanity_all_models():
 
 
 @needs_dataset
-def test_desk_scale_full_dataset(mitv_bundle):
+def test_desk_scale_full_dataset(mitv_prepared):
     """Default-config training beats the train-mean predictor on every model."""
+    bundle, _ = mitv_prepared
     config = TrainConfig()  # 10 epochs, lr 0.001, batch 32
     reports = {kind: train(build_model(ModelSpec(
-                   kind=kind, input_features=mitv_bundle.input_features,
-                   window=mitv_bundle.window, horizon=mitv_bundle.horizon, seed=0)),
-                   mitv_bundle, config)
+                   kind=kind, input_features=bundle.input_features,
+                   window=bundle.window, horizon=bundle.horizon, seed=0)),
+                   bundle, config)
                for kind in KINDS}
     result = ComparisonResult(reports)
     for kind, report in result.reports.items():
@@ -179,14 +181,15 @@ def test_desk_scale_full_dataset(mitv_bundle):
 
 
 @needs_dataset
-def test_pipeline_facts(mitv_bundle):
+def test_pipeline_facts(mitv_prepared):
     """Exact parsed-record count and an exhaustive no-leakage scan."""
-    assert mitv_bundle.summary["parsed"] == 48205
+    bundle, summary = mitv_prepared
+    assert summary["parsed"] == 48205
     for name in ("train", "val", "test"):
-        ds = getattr(mitv_bundle, name)
+        ds = getattr(bundle, name)
         starts = ds.windows.starts
         assert len(starts) > 0
-        window_last = mitv_bundle.times[starts + mitv_bundle.window - 1]
+        window_last = bundle.times[starts + bundle.window - 1]
         target_first = ds.target_times[:, 0]
         assert np.all(window_last < target_first), f"{name}: leaking window found"
 

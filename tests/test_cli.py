@@ -152,6 +152,24 @@ class TestPrepare:
             {"line": 7, "reason": "malformed traffic_volume '12.5'"},
         ]
 
+    def test_reject_text_leaves_the_cache_alone(self, workspace, tmp_path):
+        # two files that differ only in the text of one rejected temp field
+        # write the same cache, and only the summary quotes the field
+        lines = workspace["csv"].read_text().splitlines()
+        for tag, value in (("a", "n/a"), ("b", "??")):
+            fields = lines[40].split(",")
+            fields[1] = value
+            (tmp_path / f"{tag}.csv").write_text(
+                "\n".join([*lines[:40], ",".join(fields), *lines[41:]]) + "\n")
+            assert run("prepare", "--csv", tmp_path / f"{tag}.csv", "--out", tmp_path / tag,
+                       "--window", "8") == 0
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert (a / "dataset.bin").read_bytes() == (b / "dataset.bin").read_bytes()
+        assert ((a / "prepare_summary.json").read_bytes()
+                != (b / "prepare_summary.json").read_bytes())
+        summary = json.loads((b / "prepare_summary.json").read_text())
+        assert summary["rejects"] == [{"line": 41, "reason": "malformed temp '??'"}]
+
     def test_underscore_and_non_ascii_numbers_rejected(self, tmp_path):
         # float and int read all four as numbers; no CSV writer emits them
         lines = write_csv(tmp_path / "digits.csv").read_text().splitlines()
@@ -470,14 +488,16 @@ class TestEvaluate:
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
     def test_previous_cache_layout_evaluates(self, workspace, tmp_path):
-        # the layout that also stored window start rows, split bounds and data_hash
+        # the layout that also stored window start rows, split bounds and the
+        # prepare summary
         new = workspace["out"] / "dataset.bin"
         arrays, meta = read_blob(new)
         bundle = load_cache(new)
         arrays.update({f"starts_{name}": getattr(bundle, name).windows.starts.astype(np.float64)
                        for name in SPLITS})
         old = tmp_path / "old.bin"
-        write_blob(old, arrays, {**meta, "bounds": list(bundle.bounds)})
+        summary = json.loads((workspace["out"] / "prepare_summary.json").read_text())
+        write_blob(old, arrays, {**meta, "bounds": list(bundle.bounds), "summary": summary})
         checkpoint = workspace["out"] / "model_lstm_attention.bin"
         for tag, data in (("new", new), ("old", old)):
             assert run("evaluate", "--model", "lstm_attention", "--out", tmp_path / tag,

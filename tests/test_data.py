@@ -184,6 +184,19 @@ class TestParse:
         assert len(columns["date_time"]) == 20_000
         assert peak < 4 * sum(column.nbytes for column in columns.values())
 
+    def test_text_value_is_one_object_across_blocks(self, tmp_path):
+        # 5,000 rows are three blocks of rows
+        path = tmp_path / "long.csv"
+        path.write_text("\n".join([HEADER, *(
+            csv_row(h, weather=WEATHER[h % len(WEATHER)],
+                    holiday="Labor Day" if h % 97 == 0 else "None")
+            for h in range(5_000))]) + "\n")
+        columns, _ = parse_csv(path)
+        for name in TEXT_COLUMNS:
+            values = columns[name]
+            assert len(values) == 5_000
+            assert len({id(value) for value in values}) == len(set(values))
+
     @pytest.mark.parametrize("body", [
         # an unclosed quote runs past the csv module's field size limit
         b'"None,280,0,0,40,Clouds,x,2016-01-01 00:00:00,10\n' + b"x" * 140_000 + b"\n",
@@ -451,8 +464,7 @@ class TestDenormalize:
 class TestPrepare:
     def test_summary_contents(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", hours=120)
-        bundle = prepare_dataset(path, n=6, horizon=1)
-        s = bundle.summary
+        bundle, s = prepare_dataset(path, n=6, horizon=1)
         assert s["parsed"] == 120
         assert s["rejected"] == 0
         assert s["split_rows"] == {"train": 84, "val": 12, "test": 24}
@@ -466,7 +478,7 @@ class TestPrepare:
             weather = "Mist" if h >= 90 else WEATHER[h % 2]
             lines.append(csv_row(h, weather=weather))
         path.write_text("\n".join(lines) + "\n")
-        bundle = prepare_dataset(path, n=6, horizon=1)
+        bundle, _ = prepare_dataset(path, n=6, horizon=1)
         assert "Mist" not in bundle.vocab
         # rows carrying the unseen category encode to an all-zero block
         onehot = bundle.series[90:, 9:9 + len(bundle.vocab)]
@@ -484,7 +496,7 @@ class TestPrepare:
 class TestCache:
     def test_round_trip(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", hours=120)
-        bundle = prepare_dataset(path, n=6, horizon=1)
+        bundle, _ = prepare_dataset(path, n=6, horizon=1)
         cache = tmp_path / "data.bin"
         save_cache(bundle, cache)
         loaded = load_cache(cache)
@@ -493,14 +505,13 @@ class TestCache:
         np.testing.assert_array_equal(loaded.times, bundle.times)
         assert loaded.vocab == bundle.vocab
         assert loaded.data_hash == bundle.data_hash
-        assert loaded.summary == bundle.summary
         assert loaded.bounds == bundle.bounds
 
     def test_byte_identical_rewrite(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", hours=120)
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        save_cache(prepare_dataset(path, n=6, horizon=1), a)
-        save_cache(prepare_dataset(path, n=6, horizon=1), b)
+        save_cache(prepare_dataset(path, n=6, horizon=1)[0], a)
+        save_cache(prepare_dataset(path, n=6, horizon=1)[0], b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_holds_only_the_primary_data(self, tmp_path):
@@ -508,19 +519,19 @@ class TestCache:
         save_cache(split_and_window(*hourly_series(120), n=6, horizon=1), cache)
         arrays, meta = read_blob(cache)
         assert set(arrays) == {"series", "times", "mean", "std"}
-        # data_hash stays in the header for readers that skip the payload
-        assert set(meta) == {"kind", "window", "horizon", "vocab", "summary", "data_hash"}
+        # data_hash stays in the header for readers that skip the payload;
+        # the prepare report is not part of the cache
+        assert set(meta) == {"kind", "window", "horizon", "vocab", "data_hash"}
 
     def test_previous_layout_loads_the_same(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", hours=120, gap_after=50)
-        bundle = prepare_dataset(path, n=6, horizon=2)
+        bundle, summary = prepare_dataset(path, n=6, horizon=2)
         new, old = tmp_path / "new.bin", tmp_path / "old.bin"
         save_cache(bundle, new)
-        write_previous_layout(bundle, old)
+        write_previous_layout(bundle, summary, old)
         for loaded in (load_cache(new), load_cache(old)):
             assert loaded.bounds == bundle.bounds
             assert loaded.data_hash == bundle.data_hash
-            assert loaded.summary == bundle.summary
             for name in SPLITS:
                 starts = getattr(loaded, name).windows.starts
                 np.testing.assert_array_equal(starts, getattr(bundle, name).windows.starts)
@@ -628,16 +639,16 @@ class TestCache:
         assert peak < 3 * loaded.series.nbytes
 
 
-def write_previous_layout(bundle, path):
+def write_previous_layout(bundle, summary, path):
     """A cache in the layout that also stored each split's window start rows,
-    the split bounds and data_hash."""
+    the split bounds and the prepare summary."""
     arrays = {"series": bundle.series, "times": bundle.times,
               "mean": bundle.stats.mean, "std": bundle.stats.std,
               **{f"starts_{name}": getattr(bundle, name).windows.starts.astype(np.float64)
                  for name in SPLITS}}
     meta = {"kind": DATASET_FORMAT, "window": bundle.window, "horizon": bundle.horizon,
             "vocab": list(bundle.vocab), "bounds": list(bundle.bounds),
-            "summary": bundle.summary, "data_hash": bundle.data_hash}
+            "summary": summary, "data_hash": bundle.data_hash}
     write_blob(path, arrays, meta)
 
 
@@ -670,7 +681,7 @@ class TestWindowRule:
 class TestHistoryWindow:
     def bundle(self, tmp_path, gap_after=None):
         path = write_csv(tmp_path / "t.csv", hours=60, gap_after=gap_after)
-        return prepare_dataset(path, n=6, horizon=1)
+        return prepare_dataset(path, n=6, horizon=1)[0]
 
     def test_returns_preceding_rows(self, tmp_path):
         bundle = self.bundle(tmp_path)
@@ -697,8 +708,10 @@ class TestHistoryWindow:
 
 
 class TestTimeHelpers:
-    def test_round_trip(self):
-        text = "2016-03-05 17:00:00"
+    @pytest.mark.parametrize("text", ["0001-01-01 00:00:00", "0999-01-01 00:00:00",
+                                      "1969-12-31 23:00:00", "2016-02-29 23:59:59",
+                                      "2016-03-05 17:00:00", "9999-12-31 23:59:59"])
+    def test_round_trip(self, text):
         assert format_time(parse_time(text)) == text
 
     def test_bad_format(self):
