@@ -96,16 +96,21 @@ def _load_config_file(path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             cfg = json.load(handle)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config file {path} is not valid JSON: {err}")
     except UnicodeDecodeError as err:
         raise ConfigError(f"config file {path} is not UTF-8 text: {err}")
+    except ValueError as err:  # a JSONDecodeError, or an int past str's digit limit
+        raise ConfigError(f"config file {path} is not valid JSON: {err}")
     if not isinstance(cfg, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     for key, value in cfg.items():
         if key not in SETTING_TYPES:
             raise ConfigError(f"config file key {key!r} is not recognized")
         _check_type(key, value)
+        if SETTING_TYPES[key] is float:  # stored as --lr stores it: 1 becomes 1.0
+            try:
+                cfg[key] = float(value)
+            except OverflowError:
+                raise ConfigError(f"setting {key!r} is too large for a float")
     return cfg
 
 

@@ -396,7 +396,7 @@ def split_and_window(features, times, vocab, n: int, horizon: int) -> DatasetBun
         )
     train_end, _ = _boundaries(length)
     with np.errstate(all="ignore"):  # an overflow surfaces in the check below
-        stats = Stats.fit(features[:train_end] if train_end else features)
+        stats = Stats.fit(features[:train_end])
         series = stats.normalize(features)
     if not all(np.isfinite(a).all() for a in (stats.mean, stats.std, series)):
         raise NumericError("the training rows overflow the normalization statistics")
@@ -506,6 +506,8 @@ def _cache_problem(arrays: dict, meta: dict) -> str | None:
         return "series, times, mean and std shapes disagree"
     if not all(np.isfinite(arrays[name]).all() for name in names):
         return "non-finite values"
+    if not (np.diff(arrays["times"]) > 0).all():
+        return "times are not strictly increasing"
     if len(series) < n + horizon:
         return f"series of {len(series)} records cannot fit one window of {n}+{horizon} steps"
     return None

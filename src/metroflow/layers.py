@@ -10,10 +10,10 @@ one window is a batch of one.
 numpy as one graph node with a hand-written backward, and one forward path
 that under ``no_grad`` only keeps less.  ``conv_stack`` is the one
 convolution rule: it runs (W, b) pairs from ``conv_weights``, as
-``models.ForecastModel._multi_scale`` does for the multi-scale branches.
-The convs read raw windows, so ``conv_stack`` gives no input gradient and
-refuses an input that needs one.  ``step`` is built from engine ops and is
-the reference for ``unroll`` in the tests.
+``models.ForecastModel._multi_scale`` does for the multi-scale branches,
+and always applies a ReLU.  The convs read raw windows, so ``conv_stack``
+gives no input gradient and refuses an input that needs one.  ``step`` is
+built from engine ops and is the reference for ``unroll`` in the tests.
 
 A layer computes in its parameters' dtype: ``conv_stack``, ``unroll`` and
 ``AttentionHead`` cast their input to it and allocate their buffers in it,
@@ -72,8 +72,8 @@ def conv_weights(in_channels: int, out_channels: int, k: int, rng: np.random.Gen
     return glorot_uniform(rng, (out_channels, in_channels, k), *fan), zeros(out_channels)
 
 
-def conv_stack(x: Tensor, convs, relu: bool) -> Tensor:
-    """Parallel 1-D convolutions over one input, concatenated over channels.
+def conv_stack(x: Tensor, convs) -> Tensor:
+    """Parallel 1-D ReLU convolutions over one input, concatenated over channels.
 
     Each conv is a (W [out, in, k], b [out]) pair: a cross-correlation over
     time with (k - 1) / 2 zeros of padding on each side, so an even k is a
@@ -84,10 +84,9 @@ def conv_stack(x: Tensor, convs, relu: bool) -> Tensor:
     tap j of a conv of width k lands at tap j + (K - k) / 2 of combined
     weights [K, in, total out channels] that are zero elsewhere.  The
     forward pads the input once and sums K per-tap matmuls in tap order,
-    adding the biases last, so it makes no unfolded copy of the input;
-    with ``relu`` each output goes through a ReLU.  The backward unfolds
-    the padded input into [B * n, K * in] and gets every weight gradient
-    from one matmul.
+    adding the biases last and applying the ReLU in place, so it makes no
+    unfolded copy of the input.  The backward unfolds the padded input into
+    [B * n, K * in] and gets every weight gradient from one matmul.
     """
     _check_batch(x, convs[0][0].shape[1], "conv")
     if x.requires_grad:
@@ -112,11 +111,10 @@ def conv_stack(x: Tensor, convs, relu: bool) -> Tensor:
     for j in range(1, K):
         y += xp[:, j:j + n] @ taps[j]
     y += np.concatenate([b.data for _, b in convs])
-    if relu:
-        np.maximum(y, 0.0, out=y)
+    np.maximum(y, 0.0, out=y)
 
     def backward(g):
-        dy = (g * (y > 0.0) if relu else g).reshape(batch * n, -1)
+        dy = (g * (y > 0.0)).reshape(batch * n, -1)
         unfolded = sliding_window_view(xp, K, axis=1)  # [B, n, in, K] view of xp
         unfolded = unfolded.transpose(0, 1, 3, 2).reshape(batch * n, K * width)
         dtaps = (unfolded.T @ dy).reshape(K, width, -1)

@@ -87,7 +87,8 @@ class ForecastModel:
 
     The parameters are the float64 Glorot draws cast to ``DTYPE``.  The
     model computes in its parameters' dtype, so casting them back to float64
-    gives the float64 model through the same code."""
+    gives the float64 model through the same code.  Windows reach the first
+    layer in the dtype they are stored in, and that layer casts them."""
 
     def __init__(self, spec: ModelSpec):
         self.spec = spec
@@ -120,16 +121,11 @@ class ForecastModel:
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._params)
 
-    @property
-    def dtype(self) -> np.dtype:
-        """The parameters' dtype, in which the model computes."""
-        return self.head.W.data.dtype
-
     def _multi_scale(self, x3: Tensor) -> Tensor:
         """The conv branches, each with its ReLU, concatenated over channels:
         one ``layers.conv_stack`` node.  perfbench's ``layers.conv`` span and
         its replays call this method by name."""
-        return conv_stack(x3, self.convs, relu=True)
+        return conv_stack(x3, self.convs)
 
     def forward_batch(self, windows) -> Tensor:
         """Forecast a batch [B, n, d]; row i equals the one-row batch windows[i:i+1]."""
@@ -155,8 +151,7 @@ class ForecastModel:
         chunks = []
         with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(windows), PREDICT_BATCH):
-                chunk = windows[start:start + PREDICT_BATCH].astype(self.dtype, copy=False)
-                chunks.append(self.forward_batch(Tensor(chunk)).data)
+                chunks.append(self.forward_batch(Tensor(windows[start:start + PREDICT_BATCH])).data)
         preds = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, self.spec.horizon))
         if not np.isfinite(preds).all():
             raise NumericError("model outputs are not finite; the weights may have diverged")

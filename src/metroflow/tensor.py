@@ -199,7 +199,7 @@ class Tensor:
         out = np.broadcast_to(self.data, shape)
 
         def backward(g):
-            _accum(self, g.sum(axis=tuple(range(lead))) if lead else g)
+            _accum(self, g.sum(axis=tuple(range(lead))))
 
         return Tensor._from_op(out, (self,), backward)
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -77,9 +77,9 @@ class TrainReport:
     model_kind: str
     seed: int
     config: dict
-    epochs: list = field(default_factory=list)  # per-epoch train loss + val metrics
-    test: MetricTriple | None = None
-    elapsed_seconds: float = 0.0
+    epochs: list  # per-epoch train loss + val metrics
+    test: MetricTriple
+    elapsed_seconds: float
 
     def to_dict(self) -> dict:
         return {
@@ -87,7 +87,7 @@ class TrainReport:
             "seed": self.seed,
             "config": self.config,
             "epochs": self.epochs,
-            "test": self.test.to_dict() if self.test else None,
+            "test": self.test.to_dict(),
         }
 
 
@@ -123,8 +123,7 @@ class Adam:
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, params: dict[str, Tensor],
-                 learning_rate: float = TrainConfig.learning_rate):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float):
         self.params = params
         self.lr = learning_rate
         self.t = 0
@@ -146,16 +145,16 @@ class Adam:
             p.grad = None
 
 
-def clip_grad_norm(params: dict[str, Tensor], max_norm: float) -> float:
+def clip_grad_norm(params: dict[str, Tensor]) -> float:
     """Scale all gradients so their global L2 norm, summed in float64, is at
-    most max_norm; each gradient keeps its dtype."""
+    most ``GRAD_CLIP``; each gradient keeps its dtype."""
     total = 0.0
     for p in params.values():
         if p.grad is not None:
             total += float(np.square(p.grad, dtype=np.float64).sum())
     norm = float(np.sqrt(total))
-    if norm > max_norm:
-        scale = max_norm / norm
+    if norm > GRAD_CLIP:
+        scale = GRAD_CLIP / norm
         for p in params.values():
             if p.grad is not None:
                 p.grad *= scale
@@ -172,8 +171,8 @@ def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
     the first step.  A non-finite loss aborts with the epoch, batch and loss
     value; a non-finite prediction or metric is a NumericError.  Steps run
     with numpy's overflow and invalid warnings off, so weights that diverge
-    mid-epoch end in that error and not in a RuntimeWarning.  Windows and
-    targets are gathered in the model's dtype.
+    mid-epoch end in that error and not in a RuntimeWarning.  Windows go to
+    the model as stored, and targets are cast to the prediction's dtype.
     """
     config.validate()
     started = time.perf_counter()
@@ -181,7 +180,7 @@ def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
     params = model.parameters()
     optimizer = Adam(params, config.learning_rate)
     tr = datasets.train
-    report = TrainReport(model_kind=model.spec.kind, seed=config.seed, config=config.to_dict())
+    epochs = []
 
     for split in SPLITS:
         if len(getattr(datasets, split).windows) == 0:
@@ -193,28 +192,28 @@ def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
         with np.errstate(over="ignore", invalid="ignore"):
             for batch_index, start in enumerate(range(0, count, config.batch_size)):
                 rows = order[start:start + config.batch_size]
-                pred = model.forward_batch(Tensor(tr.windows[rows].astype(model.dtype)))
-                loss = mse_loss(pred, Tensor(tr.targets[rows].astype(model.dtype)))
+                pred = model.forward_batch(Tensor(tr.windows[rows]))
+                loss = mse_loss(pred, Tensor(tr.targets[rows].astype(pred.data.dtype)))
                 value = loss.item()
                 if not np.isfinite(value):
                     raise NumericError(
                         f"non-finite loss {value} at epoch {epoch}, batch {batch_index}"
                     )
                 loss.backward()
-                clip_grad_norm(params, GRAD_CLIP)
+                clip_grad_norm(params)
                 optimizer.step()
                 loss_sum += value * len(rows)
         val = metrics(model.predict(datasets.val.windows), datasets.val.targets)
-        report.epochs.append({
+        epochs.append({
             "epoch": epoch,
             "train_loss": loss_sum / count,
             "val_mae": val.mae,
             "val_mse": val.mse,
             "val_rmse": val.rmse,
         })
-    report.test = metrics(model.predict(datasets.test.windows), datasets.test.targets)
-    report.elapsed_seconds = time.perf_counter() - started
-    return report
+    test = metrics(model.predict(datasets.test.windows), datasets.test.targets)
+    return TrainReport(model_kind=model.spec.kind, seed=config.seed, config=config.to_dict(),
+                       epochs=epochs, test=test, elapsed_seconds=time.perf_counter() - started)
 
 
 @dataclass

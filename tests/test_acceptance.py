@@ -69,7 +69,7 @@ def test_gradient_correctness_all_layers():
             W, b = conv_weights(2, 2, k, np.random.default_rng(10 * i + k))
             x = Tensor(rng.uniform(-1, 1, (1, 8, 2)))  # raw windows: no input gradient
             def fn_conv(w, b, x=x):
-                out = conv_stack(x, ((w, b),), relu=False)
+                out = conv_stack(x, ((w, b),))
                 return (out * out).sum()
             assert_gradients_match(fn_conv, [W.data.copy(), b.data.copy()])
 
@@ -148,7 +148,7 @@ def test_overfit_sanity_all_models():
             if final < 1e-2:
                 break
             loss.backward()
-            clip_grad_norm(params, 5.0)
+            clip_grad_norm(params)
             optimizer.step()
         assert final < 1e-2, f"{kind}: train MSE {final:.4f} after 200 epochs"
     elapsed = time.perf_counter() - started

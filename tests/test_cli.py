@@ -396,6 +396,27 @@ class TestConfigFile:
         assert report["config"]["batch_size"] == 16   # file beats default
         assert report["config"]["learning_rate"] == 0.001  # untouched default
 
+    def test_int_learning_rate_stored_as_float(self, workspace, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"learning_rate": 1}))
+        name = "train_report_lstm_attention.json"
+        for tag, source in (("file", ("--config", cfg)), ("flag", ("--lr", "1"))):
+            assert run("train", "--model", "lstm_attention", "--out", tmp_path / tag,
+                       "--data", workspace["out"] / "dataset.bin", *source, *SMALL) == 0
+        report = (tmp_path / "file" / name).read_bytes()
+        assert b'"learning_rate": 1.0' in report
+        assert report == (tmp_path / "flag" / name).read_bytes()
+
+    def test_int_past_the_limits_exit_two(self, tmp_path, capsys):
+        # 10**400 does not fit a float; 5,000 digits pass str's conversion limit
+        for text, reason in (('{"learning_rate": 1%s}' % ("0" * 400), "too large for a float"),
+                             ('{"epochs": 1%s}' % ("0" * 5000), "is not valid JSON")):
+            cfg = tmp_path / "big.json"
+            cfg.write_text(text)
+            assert run("train", "--model", "mstim", "--out", tmp_path, "--config", cfg) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1 and reason in err
+
     def test_unknown_key_exit_two(self, workspace, tmp_path, capsys):
         # "optimizer" names the fixed recipe in train reports but is not a setting
         for key, value in (("epoch", 3), ("optimizer", "adam")):
@@ -487,6 +508,18 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
 
+    def test_times_out_of_order_exit_two(self, workspace, tmp_path, capsys):
+        arrays, meta = read_blob(workspace["out"] / "dataset.bin")
+        arrays["times"][60:90] = arrays["times"][60:90][::-1].copy()
+        data = tmp_path / "shuffled.bin"
+        write_blob(data, arrays, meta)
+        assert run("evaluate", "--model", "lstm_attention", "--out", tmp_path, "--raw",
+                   "--checkpoint", workspace["out"] / "model_lstm_attention.bin",
+                   "--data", data) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "shuffled.bin" in err and "times are not strictly increasing" in err
+
     def test_previous_cache_layout_evaluates(self, workspace, tmp_path):
         # the layout that also stored window start rows, split bounds and the
         # prepare summary
@@ -540,6 +573,8 @@ CORRUPTIONS = {
                                "malformed dataset cache: series of 140 records cannot fit "
                                "one window of 1000+1 steps"),
     "nan-payload": ("dataset", np.nan, "malformed dataset cache: non-finite values"),
+    # every value 1.0: finite, but each time equals the one before it
+    "times-not-increasing": ("dataset", 1.0, "times are not strictly increasing"),
     "checkpoint-nan-payload": ("checkpoint", np.nan, "holds non-finite values"),
     # finite as float64, stored as float64, but past float32's range
     "checkpoint-float32-overflow": ("checkpoint", 1e300, "holds non-finite values as float32"),

@@ -183,7 +183,7 @@ class TestFusedUnroll:
 
 class TestConv1d:
     """One conv, a (W, b) pair from ``conv_weights``, run alone through
-    ``conv_stack`` without the ReLU."""
+    ``conv_stack``, which always applies its ReLU."""
 
     def test_weights_glorot_init(self):
         W, b = conv_weights(3, 2, 5, make_rng())
@@ -195,7 +195,7 @@ class TestConv1d:
         W, b = conv_weights(1, 1, 3, make_rng())
         W.data[...] = 1.0
         b.data[...] = 0.0
-        out = conv_stack(Tensor(np.array([[[1.0], [2.0], [3.0]]])), ((W, b),), relu=False)
+        out = conv_stack(Tensor(np.array([[[1.0], [2.0], [3.0]]])), ((W, b),))
         np.testing.assert_allclose(out.data, [[[3.0], [6.0], [5.0]]], atol=1e-15)
 
     def test_identity_kernel(self):
@@ -205,20 +205,21 @@ class TestConv1d:
         for ch in range(2):
             W.data[ch, ch, 1] = 1.0
         x = make_rng(1).uniform(-1, 1, (1, 7, 2))
-        out = conv_stack(Tensor(x), ((W, b),), relu=False)
-        np.testing.assert_allclose(out.data, x, atol=1e-15)
+        out = conv_stack(Tensor(x), ((W, b),))
+        # x where it is positive: the ReLU zeroes the rest
+        np.testing.assert_allclose(out.data, np.maximum(x, 0.0), atol=1e-15)
 
     def test_zero_sum_kernel_on_constant_input(self):
         W, b = conv_weights(1, 1, 3, make_rng())
         W.data[0, 0] = [1.0, -2.0, 1.0]
         b.data[...] = 0.0
-        out = conv_stack(Tensor(np.full((1, 6, 1), 3.0)), ((W, b),), relu=False)
+        out = conv_stack(Tensor(np.full((1, 6, 1), 3.0)), ((W, b),))
         np.testing.assert_allclose(out.data[:, 1:-1], np.zeros((1, 4, 1)), atol=1e-14)
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_same_length_for_every_kernel(self, k):
         conv = conv_weights(3, 2, k, make_rng(k))
-        out = conv_stack(Tensor(make_rng(1).uniform(-1, 1, (1, 10, 3))), (conv,), relu=False)
+        out = conv_stack(Tensor(make_rng(1).uniform(-1, 1, (1, 10, 3))), (conv,))
         assert out.shape == (1, 10, 2)
 
     def test_even_kernel_rejected(self):
@@ -227,12 +228,12 @@ class TestConv1d:
         even = conv_weights(1, 1, 4, make_rng())
         for convs in ((even,), (conv_weights(1, 1, 3, make_rng(1)), even)):
             with pytest.raises(ConfigError, match="odd"):
-                conv_stack(x, convs, relu=False)
+                conv_stack(x, convs)
 
     def test_channel_mismatch(self):
         conv = conv_weights(3, 2, 3, make_rng())
         with pytest.raises(DimensionError):
-            conv_stack(Tensor(np.zeros((1, 5, 4))), (conv,), relu=False)
+            conv_stack(Tensor(np.zeros((1, 5, 4))), (conv,))
 
     @pytest.mark.parametrize("k", [3, 5, 7])
     def test_gradients(self, k):
@@ -240,16 +241,16 @@ class TestConv1d:
         x = Tensor(make_rng(20 + k).uniform(-1, 1, (1, 8, 2)))
 
         def fn(w, b):
-            out = conv_stack(x, ((w, b),), relu=False)
+            out = conv_stack(x, ((w, b),))
             return (out * out).sum()
 
         assert_gradients_match(fn, [W.data.copy(), b.data.copy()])
 
     @staticmethod
-    def loop_reference(x, w, b, g, relu=False):
+    def loop_reference(x, w, b, g):
         """Explicit loops over batch, time, output channel and tap.
 
-        Returns the output, with a ReLU when ``relu``, and the gradients of
+        Returns the output, after its ReLU, and the gradients of
         ``sum(output * g)`` by w and b.
         """
         batch, n, _ = x.shape
@@ -264,7 +265,7 @@ class TestConv1d:
                     for j in range(k):
                         if 0 <= t + j - pad < n:
                             total += w[o, :, j] @ x[s, t + j - pad]
-                    active = total > 0.0 or not relu
+                    active = total > 0.0
                     y[s, t, o] = total if active else 0.0
                     d = g[s, t, o] if active else 0.0
                     db[o] += d
@@ -279,7 +280,7 @@ class TestConv1d:
         b.data[...] = make_rng(40 + k).normal(size=4)
         x = Tensor(make_rng(50 + k).uniform(-1, 1, (3, 9, 3)))
         g = make_rng(60 + k).normal(size=(3, 9, 4))
-        out = conv_stack(x, ((W, b),), relu=False)
+        out = conv_stack(x, ((W, b),))
         (out * Tensor(g)).sum().backward()
         expected = self.loop_reference(x.data, W.data, b.data, g)
         for got, want in zip((out.data, W.grad, b.grad), expected):
@@ -294,7 +295,7 @@ class TestConv1d:
             weights = Tensor(make_rng(80 + k).normal(size=(3, n, 3)))
 
             def fn(w, b):
-                out = conv_stack(x, ((w, b),), relu=False)
+                out = conv_stack(x, ((w, b),))
                 return (out * out * weights).sum()
 
             bias = make_rng(90 + k).normal(size=3)
@@ -304,13 +305,13 @@ class TestConv1d:
         # the input is data, not a parent; one that needs a gradient is refused
         W, b = conv_weights(2, 3, 5, make_rng(31))
         x = Tensor(np.ones((3, 8, 2)))
-        out = conv_stack(x, ((W, b),), relu=False)
+        out = conv_stack(x, ((W, b),))
         assert out._parents == (W, b)
         out.sum().backward()
         assert x.grad is None
         assert W.grad.shape == W.shape and b.grad.shape == b.shape
         with pytest.raises(UsageError, match="no input gradient"):
-            conv_stack(Tensor(x.data, requires_grad=True), ((W, b),), relu=False)
+            conv_stack(Tensor(x.data, requires_grad=True), ((W, b),))
 
 
 class TestAttention:
@@ -519,7 +520,7 @@ class TestFloat32:
     def test_conv_stack(self):
         def make():
             convs = [conv_weights(5, 2, k, make_rng(64 + k)) for k in (1, 3, 5)]
-            return (lambda x: conv_stack(x, convs, relu=True)), [p for c in convs for p in c]
+            return (lambda x: conv_stack(x, convs)), [p for c in convs for p in c]
 
         # the convs read raw windows: the leaf needs no gradient
         self.check(make, make_rng(65).uniform(-2, 2, (3, 7, 5)), needs_grad=False)
@@ -563,8 +564,7 @@ class TestDense:
 
 
 UNBATCHED = {
-    "conv1d": lambda: conv_stack(Tensor(np.zeros((5, 3))), (conv_weights(3, 2, 3, make_rng()),),
-                                 relu=False),
+    "conv1d": lambda: conv_stack(Tensor(np.zeros((5, 3))), (conv_weights(3, 2, 3, make_rng()),)),
     "unroll": lambda: LstmCell(3, 4, make_rng()).unroll(Tensor(np.zeros((5, 3)))),
     "attention": lambda: AttentionHead(3, 2, make_rng())(Tensor(np.zeros((5, 3)))),
     "dense": lambda: Dense(3, 2, make_rng())(Tensor(np.zeros(3))),

@@ -23,6 +23,7 @@ from metroflow.errors import ConfigError, DimensionError, NumericError, UsageErr
 from metroflow.models import KINDS, ModelSpec, build_model
 from metroflow.tensor import Tensor
 from metroflow.training import (
+    GRAD_CLIP,
     Adam,
     ComparisonResult,
     MetricTriple,
@@ -131,7 +132,7 @@ class TestOptimizers:
     def test_step_clears_gradients(self):
         w = Tensor([1.0], requires_grad=True)
         w.grad = np.array([1.0])
-        opt = Adam({"w": w})
+        opt = Adam({"w": w}, learning_rate=0.1)
         opt.step()
         assert w.grad is None
 
@@ -146,26 +147,29 @@ class TestOptimizers:
 
 
 class TestClip:
+    """The clip is to ``GRAD_CLIP``, 5.0."""
+
     def test_norm_reported_and_untouched_below_limit(self):
-        w = Tensor([3.0, 4.0], requires_grad=True)
-        w.grad = np.array([3.0, 4.0])
-        norm = clip_grad_norm({"w": w}, 10.0)
-        assert norm == pytest.approx(5.0)
-        np.testing.assert_allclose(w.grad, [3.0, 4.0])
+        for grad in ([0.3, 0.4], [3.0, 4.0]):  # norms 0.5 and 5.0: at the limit is not above it
+            w = Tensor([3.0, 4.0], requires_grad=True)
+            w.grad = np.array(grad)
+            norm = clip_grad_norm({"w": w})
+            assert norm == pytest.approx(np.hypot(*grad))
+            np.testing.assert_allclose(w.grad, grad)
 
     def test_scaled_above_limit(self):
         w = Tensor([3.0, 4.0], requires_grad=True)
-        w.grad = np.array([3.0, 4.0])
-        clip_grad_norm({"w": w}, 1.0)
-        assert np.sqrt((w.grad ** 2).sum()) == pytest.approx(1.0)
+        w.grad = np.array([30.0, 40.0])
+        assert clip_grad_norm({"w": w}) == pytest.approx(50.0)
+        assert np.hypot(*w.grad) == pytest.approx(GRAD_CLIP)
         # direction preserved
-        np.testing.assert_allclose(w.grad / np.abs(w.grad).max(), [0.75, 1.0])
+        np.testing.assert_allclose(w.grad, [3.0, 4.0])
 
     def test_global_across_params(self):
         a = Tensor([3.0], requires_grad=True)
         b = Tensor([4.0], requires_grad=True)
         a.grad, b.grad = np.array([3.0]), np.array([4.0])
-        clip_grad_norm({"a": a, "b": b}, 5.0)
+        clip_grad_norm({"a": a, "b": b})
         np.testing.assert_allclose(a.grad, [3.0])
         np.testing.assert_allclose(b.grad, [4.0])
 
@@ -173,7 +177,7 @@ class TestClip:
         # the norm sums in float64: 1e20 squared overflows float32 but not the sum
         a = Tensor(np.zeros(2, np.float32), requires_grad=True)
         a.grad = np.array([3e20, 4e20], np.float32)
-        norm = clip_grad_norm({"a": a}, 5.0)
+        norm = clip_grad_norm({"a": a})
         assert norm == pytest.approx(5e20, rel=1e-6)
         assert a.grad.dtype == np.float32
         np.testing.assert_allclose(a.grad, [3.0, 4.0], rtol=1e-6)
@@ -286,13 +290,13 @@ from metroflow.training import Adam, clip_grad_norm, mse_loss
 
 model = build_model(ModelSpec(kind="mstim", input_features=21, seed=4))
 params = model.parameters()
-optimizer = Adam(params)
+optimizer = Adam(params, 0.001)
 rng = np.random.default_rng(5)
 for _ in range(30):
     loss = mse_loss(model.forward_batch(Tensor(rng.standard_normal((32, 24, 21), np.float32))),
                     Tensor(rng.standard_normal((32, 1), np.float32)))
     loss.backward()
-    clip_grad_norm(params, 5.0)
+    clip_grad_norm(params)
     optimizer.step()
 assert all(p.data.dtype == np.float32 for p in params.values())
 digest = hashlib.sha256()
@@ -333,7 +337,8 @@ class TestCompare:
 
     def test_equal_mae_rows_in_kinds_order(self):
         same = MetricTriple(mae=0.5, mse=0.25, rmse=0.5)
-        reports = {kind: TrainReport(model_kind=kind, seed=0, config={}, test=same)
+        reports = {kind: TrainReport(model_kind=kind, seed=0, config={}, epochs=[], test=same,
+                                     elapsed_seconds=0.0)
                    for kind in reversed(KINDS)}
         assert [kind for kind, _, _ in ComparisonResult(reports).rows] == list(KINDS)
 
