@@ -150,22 +150,6 @@ def write_json(path, obj) -> None:
     atomic_write(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
-def build_train_config(settings: Settings) -> TrainConfig:
-    config = TrainConfig(**{key: settings.get(key) for key in TRAIN_KEYS})
-    config.validate()
-    return config
-
-
-def model_spec_for(settings: Settings, bundle, kind: str) -> ModelSpec:
-    return ModelSpec(
-        kind=kind,
-        input_features=bundle.input_features,
-        window=bundle.window,
-        horizon=bundle.horizon,
-        **{key: settings.get(key) for key in SPEC_KEYS},
-    )
-
-
 def load_compatible(checkpoint: Path, dataset: Path) -> tuple:
     """The checkpoint's model and the dataset's bundle; a CompatibilityError
     naming both files when the model was not trained on that dataset."""
@@ -204,15 +188,31 @@ def test_slice_plot(model: ForecastModel, bundle) -> str:
     )
 
 
-def write_trained(out: Path, model: ForecastModel, bundle, report, plot: bool) -> None:
-    """One trained kind's files: its checkpoint, report, timing sidecar and,
-    with ``plot``, its test-slice SVG."""
-    kind = model.spec.kind
-    model.save(out / f"model_{kind}.bin", data_hash=bundle.data_hash)
-    write_json(out / f"train_report_{kind}.json", report.to_dict())
-    write_json(out / f"train_timing_{kind}.json", {kind: report.elapsed_seconds})
-    if plot:
-        atomic_write(out / f"plot_{kind}.svg", test_slice_plot(model, bundle).encode("utf-8"))
+def train_kinds(settings: Settings, kinds) -> tuple:
+    """``train`` and ``compare``: train each of ``kinds`` under one TrainConfig,
+    then write each one's checkpoint, report, timing sidecar and, with ``plot``,
+    SVG.  All train before any file is written, so a failure, whose NumericError
+    names the kind, leaves none.  Returns the output directory and the reports."""
+    config = TrainConfig(**{key: settings.get(key) for key in TRAIN_KEYS})
+    bundle = load_cache(settings.dataset_path())
+    models = {kind: build_model(ModelSpec(
+        kind=kind, input_features=bundle.input_features, window=bundle.window,
+        horizon=bundle.horizon, **{key: settings.get(key) for key in SPEC_KEYS}))
+        for kind in kinds}
+    reports = {}
+    for kind, model in models.items():
+        try:
+            reports[kind] = train(model, bundle, config)
+        except NumericError as err:
+            raise NumericError(f"{kind}: {err}") from err
+    out = settings.out_dir()
+    for kind, model in models.items():
+        model.save(out / f"model_{kind}.bin", data_hash=bundle.data_hash)
+        write_json(out / f"train_report_{kind}.json", reports[kind].to_dict())
+        write_json(out / f"train_timing_{kind}.json", {kind: reports[kind].elapsed_seconds})
+        if settings.get("plot"):
+            atomic_write(out / f"plot_{kind}.svg", test_slice_plot(model, bundle).encode("utf-8"))
+    return out, reports
 
 
 def cmd_prepare(settings: Settings) -> int:
@@ -236,15 +236,10 @@ def cmd_prepare(settings: Settings) -> int:
 
 def cmd_train(settings: Settings) -> int:
     kind = settings.get("model")
-    config = build_train_config(settings)
-    bundle = load_cache(settings.dataset_path())
-    model = build_model(model_spec_for(settings, bundle, kind))
-    report = train(model, bundle, config)
-    out = settings.out_dir()
-    write_trained(out, model, bundle, report, settings.get("plot"))
-    t = report.test
+    out, reports = train_kinds(settings, (kind,))
+    t = reports[kind].test
     print(f"{kind}: test mae={t.mae:.4f} mse={t.mse:.4f} rmse={t.rmse:.4f} "
-          f"after {config.epochs} epochs")
+          f"after {settings.get('epochs')} epochs")
     print(f"checkpoint written to {out / f'model_{kind}.bin'}")
     return 0
 
@@ -279,19 +274,7 @@ def cmd_evaluate(settings: Settings) -> int:
 
 
 def cmd_compare(settings: Settings) -> int:
-    config = build_train_config(settings)
-    bundle = load_cache(settings.dataset_path())
-    # every kind trains before any file is written, so a failure leaves none
-    models = {kind: build_model(model_spec_for(settings, bundle, kind)) for kind in KINDS}
-    reports = {}
-    for kind, model in models.items():
-        try:
-            reports[kind] = train(model, bundle, config)
-        except NumericError as err:  # name the kind: the command line does not
-            raise NumericError(f"{kind}: {err}") from err
-    out = settings.out_dir()
-    for kind, model in models.items():
-        write_trained(out, model, bundle, reports[kind], settings.get("plot"))
+    out, reports = train_kinds(settings, KINDS)
     result = ComparisonResult(reports)
     atomic_write(out / "comparison.csv", result.to_csv().encode("utf-8"))
     text = result.to_text()

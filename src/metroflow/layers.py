@@ -33,9 +33,15 @@ from .tensor import Tensor, _accum, concat, records
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:
-    """Uniform init in +-sqrt(6/(fan_in+fan_out)), as a trainable tensor."""
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return Tensor(rng.uniform(-limit, limit, size=shape), requires_grad=True)
+    """Uniform init in +-sqrt(6/(fan_in+fan_out)), as a trainable tensor.  A
+    shape no array can hold is a ConfigError naming it; every layer draws
+    its weight, which holds all of its sizes, before anything else."""
+    try:
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        data = rng.uniform(-limit, limit, size=shape)
+    except (ValueError, OverflowError) as err:  # past numpy's limits, or float's range
+        raise ConfigError(f"no array can hold weights of shape {shape}: {err}") from err
+    return Tensor(data, requires_grad=True)
 
 
 def zeros(shape) -> Tensor:

@@ -45,7 +45,8 @@ def check_seed(seed) -> None:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Declarative description of one architecture plus hyperparameters."""
+    """Declarative description of one architecture plus hyperparameters,
+    checked when it is built: a spec that exists is valid."""
 
     kind: str
     input_features: int
@@ -59,9 +60,6 @@ class ModelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kernel_sizes", tuple(self.kernel_sizes))
-        self.validate()
-
-    def validate(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown model kind {self.kind!r}; choose one of {KINDS}")
         for name in ("input_features", "window", "horizon", "hidden_size",
@@ -170,13 +168,12 @@ class ForecastModel:
     @classmethod
     def load(cls, path) -> tuple["ForecastModel", dict]:
         arrays, meta = read_blob(path)
-        try:
-            spec = ModelSpec(**meta.get("model_spec"))
+        try:  # a spec whose weights no array can hold fails here too
+            model = cls(ModelSpec(**meta.get("model_spec")))
         except (TypeError, ConfigError) as exc:
             raise SchemaError(f"{path} has no valid model_spec: {exc}") from exc
         if not isinstance(meta.get("data_hash"), str):
             raise SchemaError(f"{path} has no data_hash string")
-        model = cls(spec)
         stored = set(arrays)
         expected = set(model._params)
         if stored != expected:

@@ -38,14 +38,18 @@ REFERENCE_NOTE = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """The settings of one training run, checked when the config is built:
+    one that exists is valid.  It cannot be changed after that;
+    ``dataclasses.replace`` builds a changed copy and checks it again."""
+
     epochs: int = 10
     learning_rate: float = 0.001
     batch_size: int = 32
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
@@ -167,14 +171,14 @@ def train(model: ForecastModel, datasets, config: TrainConfig) -> TrainReport:
     ``datasets`` needs train/val/test splits exposing row-indexable windows
     (a ``data.Windows`` view or an [N, n, d] array) and ``targets`` [N, T].
     The last short batch of each epoch is trained on, validation is reported
-    per epoch, test metrics once at the end.  An empty split fails before
-    the first step.  A non-finite loss aborts with the epoch, batch and loss
-    value; a non-finite prediction or metric is a NumericError.  Steps run
-    with numpy's overflow and invalid warnings off, so weights that diverge
-    mid-epoch end in that error and not in a RuntimeWarning.  Windows go to
-    the model as stored, and targets are cast to the prediction's dtype.
+    per epoch, test metrics once at the end.  ``config`` was checked when it
+    was built, and an empty split fails before the first step.  A non-finite
+    loss aborts with the epoch, batch and loss value; a non-finite
+    prediction or metric is a NumericError.  Steps run with numpy's overflow
+    and invalid warnings off, so weights that diverge mid-epoch end in that
+    error and not in a RuntimeWarning.  Windows go to the model as stored,
+    and targets are cast to the prediction's dtype.
     """
-    config.validate()
     started = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     params = model.parameters()

@@ -325,7 +325,8 @@ class TestTrain:
                    workspace["out"] / "dataset.bin", *SMALL, "--batch", "5000", "--lr", "1e300")
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: model outputs are not finite") and "Traceback" not in err
+        assert err.startswith("error: lstm_cnn: model outputs are not finite")
+        assert "Traceback" not in err
         assert not (out / "model_lstm_cnn.bin").exists()
         assert not (out / "train_report_lstm_cnn.json").exists()
 
@@ -337,7 +338,7 @@ class TestTrain:
                    workspace["out"] / "dataset.bin", *SMALL, "--batch", "8", "--lr", "1e300")
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: non-finite loss") and err.count("\n") == 1
+        assert err.startswith("error: lstm_cnn: non-finite loss") and err.count("\n") == 1
         assert not (out / "model_lstm_cnn.bin").exists()
         assert not (out / "train_report_lstm_cnn.json").exists()
 
@@ -379,6 +380,19 @@ class TestTrain:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+        assert not list(tmp_path.glob("model_*.bin"))
+
+    @pytest.mark.parametrize("size", [10**10, 10**20, 10**400], ids=["1e10", "1e20", "1e400"])
+    def test_unholdable_model_exit_two(self, workspace, tmp_path, capsys, size):
+        # numpy refuses to describe the LSTM weight at all: its bytes pass the
+        # address space, a dimension passes numpy's limit, or its Glorot bound
+        # passes float's range
+        code = run("train", "--model", "mstim", "--out", tmp_path,
+                   "--data", workspace["out"] / "dataset.bin", "--hidden-size", str(size))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: no array can hold weights of shape ({size}, ")
+        assert err.count("\n") == 1
         assert not list(tmp_path.glob("model_*.bin"))
 
 
@@ -507,6 +521,19 @@ class TestEvaluate:
                    "--data", workspace["out"] / "dataset.bin") == 1
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("size", [10**10, 10**20], ids=["1e10", "1e20"])
+    def test_unholdable_spec_exit_two(self, workspace, tmp_path, capsys, size):
+        arrays, meta = read_blob(workspace["out"] / "model_lstm_attention.bin")
+        meta["model_spec"]["hidden_size"] = size
+        write_blob(tmp_path / "huge.bin", arrays, meta)
+        assert run("evaluate", "--model", "lstm_attention", "--out", tmp_path,
+                   "--checkpoint", tmp_path / "huge.bin",
+                   "--data", workspace["out"] / "dataset.bin") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'huge.bin'} has no valid model_spec: "
+                              f"no array can hold weights of shape ({size}, ")
+        assert err.count("\n") == 1
 
     def test_times_out_of_order_exit_two(self, workspace, tmp_path, capsys):
         arrays, meta = read_blob(workspace["out"] / "dataset.bin")

@@ -200,10 +200,15 @@ class TestConfig:
         ("learning_rate", True),
     ])
     def test_validation(self, field, value):
-        c = TrainConfig()
-        setattr(c, field, value)
         with pytest.raises(ConfigError):
-            c.validate()
+            TrainConfig(**{field: value})
+
+    def test_frozen_and_rechecked_on_replace(self):
+        config = TrainConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.epochs = 0
+        with pytest.raises(ConfigError, match="^epochs must be a positive int, got 0$"):
+            dataclasses.replace(config, epochs=0)
 
 
 def small_spec(kind):
