@@ -2,9 +2,8 @@
 
 Every layer takes a batch and nothing else.  ``conv_stack``,
 ``LstmCell.unroll`` and ``AttentionHead`` take windows [B, n, channels];
-``Dense`` and ``LstmCell.step`` take rows [B, channels], with [B, hidden]
-states for ``step``.  Any other rank or channel width is a DimensionError;
-one window is a batch of one.
+``Dense`` takes rows [B, channels].  Any other rank or channel width is a
+DimensionError; one window is a batch of one.
 
 ``conv_stack``, ``LstmCell.unroll`` and ``AttentionHead`` each run in
 numpy as one graph node with a hand-written backward, and one forward path
@@ -12,8 +11,9 @@ that under ``no_grad`` only keeps less.  ``conv_stack`` is the one
 convolution rule: it runs (W, b) pairs from ``conv_weights``, as
 ``models.ForecastModel._multi_scale`` does for the multi-scale branches,
 and always applies a ReLU.  The convs read raw windows, so ``conv_stack``
-gives no input gradient and refuses an input that needs one.  ``step`` is
-built from engine ops and is the reference for ``unroll`` in the tests.
+gives no input gradient and refuses an input that needs one.  The tests
+check ``unroll`` against ``lstm_step`` in ``tests/reference.py``, one
+update built from engine ops.
 
 A layer computes in its parameters' dtype: ``conv_stack``, ``unroll`` and
 ``AttentionHead`` cast their input to it and allocate their buffers in it,
@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DimensionError, NumericError, UsageError
-from .tensor import Tensor, _accum, concat, records
+from .tensor import Tensor, _accum, records
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> Tensor:
@@ -141,10 +141,11 @@ class LstmCell:
     memory uses tanh.  The forget-gate bias starts at 1.0 so early training
     keeps most of the memory cell.
 
-    ``step`` builds one update from engine ops and is the readable
-    reference.  ``unroll`` runs the whole recurrence in numpy as one
-    graph node whose parents are the input and the eight parameters.  It
-    works feature-major, after Appleyard et al. 2016 (arXiv:1604.01946).
+    ``unroll`` runs the whole recurrence in numpy as one graph node whose
+    parents are the input and the eight parameters; its readable reference
+    is ``lstm_step`` in ``tests/reference.py``, one update from engine
+    ops.  It works feature-major, after Appleyard et al. 2016
+    (arXiv:1604.01946).
     The parameters, read at call time, stack into one [4H, H + in + 1]
     matrix whose row blocks are i, f, o, C in that order; its columns
     multiply [h_prev; x_t; 1], so the bias rides in the input product.
@@ -170,29 +171,6 @@ class LstmCell:
         self.b_f = Tensor(np.ones(hidden_size), requires_grad=True)
         self.b_o = zeros(hidden_size)
         self.b_C = zeros(hidden_size)
-
-    def step(self, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
-        """One update of a [B, in] input and [B, hidden] states; returns (h_t, C_t)."""
-        _check_batch(x_t, self.input_size, "lstm", rank=2)
-        rows = (x_t.shape[0], self.hidden_size)
-        for name, t in (("h_prev", h_prev), ("c_prev", c_prev)):
-            if t.shape != rows:
-                raise DimensionError(
-                    f"{name} shape {t.shape} incompatible with input shape {x_t.shape} "
-                    f"and hidden size {self.hidden_size}"
-                )
-        cat = concat([h_prev, x_t], axis=-1)
-
-        def gate(w, b):
-            return cat @ w.transpose((1, 0)) + b.expand(rows)
-
-        i = gate(self.W_i, self.b_i).sigmoid()
-        f = gate(self.W_f, self.b_f).sigmoid()
-        o = gate(self.W_o, self.b_o).sigmoid()
-        cand = gate(self.W_C, self.b_C).tanh()
-        c = f * c_prev + i * cand
-        h = o * c.tanh()
-        return h, c
 
     def unroll(self, sequence: Tensor) -> Tensor:
         """Run the cell over a whole sequence from a zero initial state.

@@ -72,6 +72,8 @@ class ModelSpec:
         for k in self.kernel_sizes:
             if not _is_int(k) or k < 1 or k % 2 == 0:
                 raise ConfigError(f"kernel sizes must be positive odd ints, got {k!r}")
+        if len(set(self.kernel_sizes)) < len(self.kernel_sizes):  # each names its branch
+            raise ConfigError(f"kernel sizes must be distinct, got {self.kernel_sizes}")
         check_seed(self.seed)
 
     def to_dict(self) -> dict:

@@ -24,7 +24,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DimensionError, NumericError, UsageError
+from .errors import DimensionError, UsageError
 
 _state = threading.local()
 
@@ -150,19 +150,6 @@ class Tensor:
     def __matmul__(self, other):
         return matmul(self, other)
 
-    # -- unary ops ----------------------------------------------------------
-
-    def tanh(self):
-        out = np.tanh(self.data)
-        return Tensor._from_op(out, (self,), lambda g: _accum(self, g * (1.0 - out * out)))
-
-    def sigmoid(self):
-        # exp(-x) overflows to inf for x below -709 in float64 (about -88 in
-        # float32), which gives the correct 0.0
-        with np.errstate(over="ignore"):
-            out = 1.0 / (1.0 + np.exp(-self.data))
-        return Tensor._from_op(out, (self,), lambda g: _accum(self, g * out * (1.0 - out)))
-
     # -- reductions ---------------------------------------------------------
 
     def sum(self, axis=None):
@@ -281,46 +268,3 @@ def matmul(a: Tensor, b) -> Tensor:
 
     return Tensor._from_op(out, (a, b), backward)
 
-
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Softmax along one axis, computed with max-subtraction for stability."""
-    x = t.data
-    if not -x.ndim <= axis < x.ndim:
-        raise DimensionError(f"softmax axis {axis} invalid for shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise NumericError("softmax input contains non-finite values")
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        _accum(t, out * (g - inner))
-
-    return Tensor._from_op(out, (t,), backward)
-
-
-def concat(tensors, axis: int = 0) -> Tensor:
-    """Concatenate along one axis; backward routes each slice to its source."""
-    tensors = [_as_tensor(t) for t in tensors]
-    if not tensors:
-        raise UsageError("concat of zero tensors")
-    first = tensors[0].shape
-    for t in tensors[1:]:
-        if t.ndim != len(first):
-            raise DimensionError(f"concat rank mismatch: {first} vs {t.shape}")
-        for d in range(t.ndim):
-            if d != axis % t.ndim and t.shape[d] != first[d]:
-                raise DimensionError(f"concat non-axis extents differ: {first} vs {t.shape}")
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    extents = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + extents)
-
-    def backward(g):
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                key = [slice(None)] * t.ndim
-                key[axis] = slice(start, stop)
-                _accum(t, g[tuple(key)])
-
-    return Tensor._from_op(out, tuple(tensors), backward)

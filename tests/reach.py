@@ -31,17 +31,12 @@ from pathlib import Path
 import pytest
 
 #: Qualified name -> why its statements may go unreached.  A name such as
-#: ``metroflow.tensor.concat`` covers every statement of that def or class;
+#: ``metroflow.tensor.Tensor.sum`` covers every statement of that def or class;
 #: ``<name>: <statement>`` covers one statement directly inside it, given by
 #: its first source line, and whatever that statement contains.
 EXEMPT = {
-    "metroflow.layers.LstmCell.step":
-        "Settled test reference: TestFusedUnroll checks unroll against it at 1e-12",
-    "metroflow.tensor.Tensor.sigmoid": "Settled test reference: step's gates",
-    "metroflow.tensor.Tensor.tanh": "Settled test reference: step's candidate and cell",
-    "metroflow.tensor.Tensor.sum": "Settled test reference: the acceptance gradient sweep",
-    "metroflow.tensor.softmax": "Settled test reference: the attention tests' op chain",
-    "metroflow.tensor.concat": "Settled test reference: step joins [h_prev, x_t] with it",
+    "metroflow.tensor.Tensor.sum":
+        "perfbench's replay.backward_replays reduces each layer's loss with it",
     "metroflow.cli: sys.exit(main())":
         "the __main__ guard: test_installed_entry_point runs it in a subprocess, "
         "and CI's smoke step runs it",

@@ -615,6 +615,11 @@ CORRUPTIONS = {
                               "hidden_size must be a positive int, got True"),
     "spec-negative-seed": ("checkpoint", lambda h: h["meta"]["model_spec"].update(seed=-1),
                            "seed must be a non-negative int, got -1"),
+    # each kernel size names its conv branch's parameters, so a repeat would
+    # leave a branch out of the registry
+    "spec-repeated-kernel-sizes": ("checkpoint",
+                                   lambda h: h["meta"]["model_spec"].update(kernel_sizes=[3, 3]),
+                                   "has no valid model_spec: kernel sizes must be distinct"),
     "checkpoint-null-hash": ("checkpoint", lambda h: h["meta"].update(data_hash=None),
                              "has no data_hash string"),
     "checkpoint-no-hash": ("checkpoint", lambda h: h["meta"].pop("data_hash"),

@@ -8,7 +8,8 @@ from gradcheck import assert_gradients_match
 from metroflow.errors import ConfigError, DimensionError, NumericError, UsageError
 from metroflow.layers import (AttentionHead, Dense, LstmCell, conv_stack, conv_weights,
                               glorot_uniform)
-from metroflow.tensor import Tensor, no_grad, softmax
+from metroflow.tensor import Tensor, no_grad
+from reference import lstm_step, softmax
 
 
 def make_rng(seed=0):
@@ -25,7 +26,7 @@ def zero_lstm(input_size=3, hidden_size=4):
 class TestLstmStep:
     def test_all_zero_weights_and_state(self):
         cell = zero_lstm()
-        h, c = cell.step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))),
+        h, c = lstm_step(cell, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))),
                          Tensor(np.zeros((1, 4))))
         # gates sit at sigmoid(0)=0.5, candidate tanh(0)=0, so everything stays 0
         np.testing.assert_allclose(c.data, np.zeros((1, 4)), atol=1e-15)
@@ -34,14 +35,16 @@ class TestLstmStep:
     def test_forget_gate_halves_memory(self):
         cell = zero_lstm()
         c_prev = np.array([[2.0, -1.0, 0.5, 4.0]])
-        h, c = cell.step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))), Tensor(c_prev))
+        h, c = lstm_step(cell, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 4))),
+                         Tensor(c_prev))
         np.testing.assert_allclose(c.data, 0.5 * c_prev, atol=1e-15)
         np.testing.assert_allclose(h.data, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
 
     def test_hidden_state_bounded(self):
         cell = LstmCell(3, 4, make_rng(5))
         rng = make_rng(6)
-        h, c = cell.step(
+        h, c = lstm_step(
+            cell,
             Tensor(rng.uniform(-50, 50, (1, 3))),
             Tensor(rng.uniform(-50, 50, (1, 4))),
             Tensor(rng.uniform(-50, 50, (1, 4))),
@@ -51,10 +54,10 @@ class TestLstmStep:
     def test_shape_mismatch(self):
         cell = LstmCell(3, 4, make_rng())
         with pytest.raises(DimensionError):
-            cell.step(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 4))),
+            lstm_step(cell, Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 4))),
                       Tensor(np.zeros((1, 4))))
         with pytest.raises(DimensionError):
-            cell.step(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))),
+            lstm_step(cell, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))),
                       Tensor(np.zeros((1, 4))))
 
     def test_gradients(self):
@@ -66,7 +69,7 @@ class TestLstmStep:
         def fn(w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c, xv, hv, cv):
             cell.W_i, cell.W_f, cell.W_o, cell.W_C = w_i, w_f, w_o, w_c
             cell.b_i, cell.b_f, cell.b_o, cell.b_C = b_i, b_f, b_o, b_c
-            h, c = cell.step(xv, hv, cv)
+            h, c = lstm_step(cell, xv, hv, cv)
             return (h * h).sum() + c.sum()
 
         params = [p.data.copy() for p in cell.parameters().values()]
@@ -78,7 +81,8 @@ class TestLstmUnroll:
         cell = LstmCell(3, 4, make_rng(1))
         x = make_rng(2).uniform(-1, 1, (1, 1, 3))
         out = cell.unroll(Tensor(x))
-        h, _ = cell.step(Tensor(x[:, 0]), Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 4))))
+        h, _ = lstm_step(cell, Tensor(x[:, 0]), Tensor(np.zeros((1, 4))),
+                         Tensor(np.zeros((1, 4))))
         np.testing.assert_allclose(out.data[:, 0], h.data, atol=1e-15)
 
     def test_zero_weights_all_hidden_zero(self):
@@ -114,7 +118,7 @@ class TestLstmUnroll:
 
 
 class TestFusedUnroll:
-    """``unroll`` is one graph node; ``step`` is its reference."""
+    """``unroll`` is one graph node; ``lstm_step`` is its reference."""
 
     @staticmethod
     def leaves(cell, seq):
@@ -137,7 +141,7 @@ class TestFusedUnroll:
         c = Tensor(np.zeros((batch, hidden)))
         reference = None
         for t in range(n):
-            h, c = cell.step(chained[0][:, t, :], h, c)
+            h, c = lstm_step(cell, chained[0][:, t, :], h, c)
             np.testing.assert_allclose(out.data[:, t, :], h.data, rtol=0, atol=1e-12)
             term = (h * Tensor(upstream[:, t, :])).sum()
             reference = term if reference is None else reference + term
@@ -568,7 +572,7 @@ UNBATCHED = {
     "unroll": lambda: LstmCell(3, 4, make_rng()).unroll(Tensor(np.zeros((5, 3)))),
     "attention": lambda: AttentionHead(3, 2, make_rng())(Tensor(np.zeros((5, 3)))),
     "dense": lambda: Dense(3, 2, make_rng())(Tensor(np.zeros(3))),
-    "step": lambda: LstmCell(3, 4, make_rng()).step(
+    "step": lambda: lstm_step(LstmCell(3, 4, make_rng()),
         Tensor(np.zeros(3)), Tensor(np.zeros(4)), Tensor(np.zeros(4))),
 }
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -71,6 +72,12 @@ class TestBuild:
     def test_even_kernel_rejected(self):
         with pytest.raises(ConfigError, match="odd"):
             small_spec("mstim", kernel_sizes=(4,))
+
+    def test_repeated_kernel_sizes_rejected(self):
+        # both branches would register as conv3/*, and the first would train
+        # and save nothing
+        with pytest.raises(ConfigError, match=re.escape("distinct, got (3, 3)")):
+            ModelSpec(kind="mstim", input_features=21, kernel_sizes=(3, 3))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="kind"):
