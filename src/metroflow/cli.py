@@ -172,7 +172,7 @@ def load_compatible(checkpoint: Path, dataset: Path) -> tuple:
     return model, bundle
 
 
-def test_slice_plot(model: ForecastModel, bundle) -> str:
+def plot_test_slice(model: ForecastModel, bundle) -> str:
     ds = bundle.test
     k = min(PLOT_STEPS, len(ds.windows))
     preds = model.predict(ds.windows[:k])[:, 0]
@@ -211,7 +211,7 @@ def train_kinds(settings: Settings, kinds) -> tuple:
         write_json(out / f"train_report_{kind}.json", reports[kind].to_dict())
         write_json(out / f"train_timing_{kind}.json", {kind: reports[kind].elapsed_seconds})
         if settings.get("plot"):
-            atomic_write(out / f"plot_{kind}.svg", test_slice_plot(model, bundle).encode("utf-8"))
+            atomic_write(out / f"plot_{kind}.svg", plot_test_slice(model, bundle).encode("utf-8"))
     return out, reports
 
 

@@ -11,9 +11,12 @@ that under ``no_grad`` only keeps less.  ``conv_stack`` is the one
 convolution rule: it runs (W, b) pairs from ``conv_weights``, as
 ``models.ForecastModel._multi_scale`` does for the multi-scale branches,
 and always applies a ReLU.  The convs read raw windows, so ``conv_stack``
-gives no input gradient and refuses an input that needs one.  The tests
-check ``unroll`` against ``lstm_step`` in ``tests/reference.py``, one
-update built from engine ops.
+gives no input gradient and refuses an input that needs one.
+``LstmCell`` and ``AttentionHead`` each hold one weight ``W``, in the
+layout their node reads: the LSTM's gate rows and the attention's Q, K and
+V columns are blocks of it.  The tests check ``unroll`` against
+``lstm_step`` in ``tests/reference.py``, one update built from engine ops
+that read those blocks.
 
 A layer computes in its parameters' dtype: ``conv_stack``, ``unroll`` and
 ``AttentionHead`` cast their input to it and allocate their buffers in it,
@@ -141,36 +144,33 @@ class LstmCell:
     memory uses tanh.  The forget-gate bias starts at 1.0 so early training
     keeps most of the memory cell.
 
-    ``unroll`` runs the whole recurrence in numpy as one graph node whose
-    parents are the input and the eight parameters; its readable reference
-    is ``lstm_step`` in ``tests/reference.py``, one update from engine
-    ops.  It works feature-major, after Appleyard et al. 2016
-    (arXiv:1604.01946).
-    The parameters, read at call time, stack into one [4H, H + in + 1]
-    matrix whose row blocks are i, f, o, C in that order; its columns
-    multiply [h_prev; x_t; 1], so the bias rides in the input product.
+    The one weight ``W`` is a [4H, H + in + 1] matrix, stacked after
+    Appleyard et al. 2016 (arXiv:1604.01946): its row blocks are the i, f,
+    o and C gates in that order, and its columns multiply [h_prev; x_t; 1],
+    so the last column is the bias.  It holds four Glorot draws, made in
+    that order, and a bias column that is 1.0 on the forget rows.
+
+    ``unroll`` runs the whole recurrence in numpy, feature-major, as one
+    graph node whose parents are the input and ``W``; its readable
+    reference is ``lstm_step`` in ``tests/reference.py``, one update from
+    engine ops.
     Each step's gates are a [4H, B] array of contiguous [H, B] blocks.  A
     step copies [x_t; 1] into its slot of the input buffer and projects it
     on its own.  Recording keeps a slot per step for the backward; under
     ``no_grad`` every step reuses one, so both give bit-identical outputs
     and ``no_grad`` keeps nothing per step.  The backward is hand-written
     backpropagation through time; one [4H, n * B] x [n * B, H + in + 1]
-    matmul over the kept inputs of every step gives all weight and bias
-    gradients.
+    matmul over the kept inputs of every step gives the gradient of ``W``.
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator):
         self.input_size = input_size
         self.hidden_size = hidden_size
         cat = hidden_size + input_size
-        self.W_i = glorot_uniform(rng, (hidden_size, cat), cat, hidden_size)
-        self.W_f = glorot_uniform(rng, (hidden_size, cat), cat, hidden_size)
-        self.W_o = glorot_uniform(rng, (hidden_size, cat), cat, hidden_size)
-        self.W_C = glorot_uniform(rng, (hidden_size, cat), cat, hidden_size)
-        self.b_i = zeros(hidden_size)
-        self.b_f = Tensor(np.ones(hidden_size), requires_grad=True)
-        self.b_o = zeros(hidden_size)
-        self.b_C = zeros(hidden_size)
+        gates = [glorot_uniform(rng, (hidden_size, cat), cat, hidden_size).data for _ in range(4)]
+        bias = np.zeros((4 * hidden_size, 1))
+        bias[hidden_size:2 * hidden_size] = 1.0  # the forget gate's
+        self.W = Tensor(np.concatenate([np.concatenate(gates), bias], axis=1), requires_grad=True)
 
     def unroll(self, sequence: Tensor) -> Tensor:
         """Run the cell over a whole sequence from a zero initial state.
@@ -179,19 +179,15 @@ class LstmCell:
         [B, n, hidden]; gradients flow through the full unroll.
         """
         _check_batch(sequence, self.input_size, "lstm")
-        dtype = self.W_i.data.dtype
+        W = self.W
+        dtype = W.data.dtype
         x = sequence.data.astype(dtype, copy=False)
         batch, n = x.shape[0], x.shape[1]
         if n < 1:
             raise UsageError("cannot unroll an empty sequence")
         H, D = self.hidden_size, self.input_size
-        weights = (self.W_i, self.W_f, self.W_o, self.W_C)
-        biases = (self.b_i, self.b_f, self.b_o, self.b_C)
-        parents = (sequence,) + weights + biases
-        # [4H, H + in + 1], multiplying [h_{t-1}; x_t; 1]
-        stacked = np.concatenate([np.column_stack([w.data, b.data])
-                                  for w, b in zip(weights, biases)])
-        wh, wx = np.ascontiguousarray(stacked[:, :H]), np.ascontiguousarray(stacked[:, H:])
+        parents = (sequence, W)
+        wh, wx = np.ascontiguousarray(W.data[:, :H]), np.ascontiguousarray(W.data[:, H:])
         keep = records(parents)
         steps = n if keep else 1  # slots: under no_grad every step reuses slot 0
         gates = np.empty((steps, 4 * H, batch), dtype)  # activated gates
@@ -244,23 +240,15 @@ class LstmCell:
                     dc = dc * f
                     dh = g[:, t - 1].T + wh.T @ d
             flat = dz.reshape(4 * H, n * batch)
-            dw = flat @ inputs.transpose(0, 2, 1).reshape(n * batch, H + D + 1)  # d stacked
             if sequence.requires_grad:
                 _accum(sequence, (wx[:, :D].T @ flat).reshape(D, n, batch).transpose(2, 1, 0))
-            for k, (w, b) in enumerate(zip(weights, biases)):
-                block = slice(k * H, (k + 1) * H)
-                if w.requires_grad:
-                    _accum(w, dw[block, :H + D])
-                if b.requires_grad:
-                    _accum(b, dw[block, H + D])
+            if W.requires_grad:
+                _accum(W, flat @ inputs.transpose(0, 2, 1).reshape(n * batch, H + D + 1))
 
         return Tensor._from_op(out, parents, backward)
 
     def parameters(self) -> dict[str, Tensor]:
-        return {
-            "W_i": self.W_i, "W_f": self.W_f, "W_o": self.W_o, "W_C": self.W_C,
-            "b_i": self.b_i, "b_f": self.b_f, "b_o": self.b_o, "b_C": self.b_C,
-        }
+        return {"W": self.W}
 
 
 class AttentionHead:
@@ -269,27 +257,29 @@ class AttentionHead:
     Q, K and V are linear projections of the same input; each output row is
     a convex combination of the V rows with softmax(QK^T/sqrt(d_k)) weights.
 
-    A call is one graph node with parents (h, W_Q, W_K, W_V).  The softmax
-    subtracts each row's maximum, and non-finite scores raise NumericError.
-    The backward gets the three weight gradients from one
-    [d, B * n] x [B * n, 3 d_k] matmul and the input gradient from one more.
+    The one weight ``W`` is a [d, 3 d_k] matrix whose column blocks project
+    to Q, K and V in that order, three Glorot draws made in that order.  A
+    call is one graph node with parents (h, W).  The softmax subtracts each
+    row's maximum, and non-finite scores raise NumericError.  The backward
+    gets the gradient of ``W`` from one [d, B * n] x [B * n, 3 d_k] matmul
+    and the input gradient from one more.
     Under ``no_grad`` the one forward frees q and k before v is projected.
     """
 
     def __init__(self, d_model: int, d_k: int, rng: np.random.Generator):
         self.d_model = d_model
         self.d_k = d_k
-        self.W_Q = glorot_uniform(rng, (d_model, d_k), d_model, d_k)
-        self.W_K = glorot_uniform(rng, (d_model, d_k), d_model, d_k)
-        self.W_V = glorot_uniform(rng, (d_model, d_k), d_model, d_k)
+        draws = [glorot_uniform(rng, (d_model, d_k), d_model, d_k).data for _ in range(3)]
+        self.W = Tensor(np.concatenate(draws, axis=1), requires_grad=True)
 
     def __call__(self, h: Tensor) -> Tensor:
         _check_batch(h, self.d_model, "attention")
-        parents = (h, self.W_Q, self.W_K, self.W_V)
-        wq, wk, wv = (w.data for w in parents[1:])
-        x = h.data.astype(wq.dtype, copy=False)
+        W = self.W
+        parents = (h, W)
+        w = W.data
+        x = h.data.astype(w.dtype, copy=False)
         d_k = self.d_k
-        q, k = x @ wq, x @ wk
+        q, k = x @ w[:, :d_k], x @ w[:, d_k:2 * d_k]
         weights = q @ k.transpose(0, 2, 1)
         scale = 1.0 / math.sqrt(d_k)
         weights *= scale
@@ -300,7 +290,7 @@ class AttentionHead:
         weights /= weights.sum(axis=-1, keepdims=True)
         if not records(parents):
             del q, k  # no backward will read them: free both before the value product
-        v = x @ wv
+        v = x @ w[:, 2 * d_k:]
 
         def backward(g):
             dweights = g @ v.transpose(0, 2, 1)
@@ -311,16 +301,13 @@ class AttentionHead:
             np.matmul(ds.transpose(0, 2, 1), q, out=dqkv[..., d_k:2 * d_k])
             np.matmul(weights.transpose(0, 2, 1), g, out=dqkv[..., 2 * d_k:])
             flat = dqkv.reshape(-1, 3 * d_k)
-            dw = x.reshape(-1, self.d_model).T @ flat  # [d, 3 d_k]: Q, K, V blocks
-            for j, w in enumerate(parents[1:]):
-                if w.requires_grad:
-                    _accum(w, dw[:, j * d_k:(j + 1) * d_k])
+            if W.requires_grad:
+                _accum(W, x.reshape(-1, self.d_model).T @ flat)
             if h.requires_grad:
-                stacked = np.concatenate([wq, wk, wv], axis=1)  # [d, 3 d_k]
-                _accum(h, (flat @ stacked.T).reshape(x.shape))
+                _accum(h, (flat @ w.T).reshape(x.shape))
 
         return Tensor._from_op(weights @ v, parents, backward)
 
     def parameters(self) -> dict[str, Tensor]:
-        return {"W_Q": self.W_Q, "W_K": self.W_K, "W_V": self.W_V}
+        return {"W": self.W}
 

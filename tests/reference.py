@@ -4,9 +4,11 @@
 hand-written backward.  The tests check each against a chain of small
 engine ops at 1e-12: ``lstm_step`` is one LSTM update, built from
 ``concat``, ``sigmoid`` and ``tanh``, and ``softmax`` closes the attention
-chain.  Each reference builds its nodes through ``Tensor._from_op``, as the
-engine's own ops do, and is itself checked against the finite-difference
-oracle in ``tests/gradcheck.py``.
+chain.  Each layer holds one weight; ``block`` reads a gate's rows or a
+projection's columns out of it, and its backward scatters the gradient
+back into that block.  Each reference builds its nodes through
+``Tensor._from_op``, as the engine's own ops do, and is itself checked
+against the finite-difference oracle in ``tests/gradcheck.py``.
 
 No command of the package runs any of them, so they live here and not in
 ``src/metroflow``: the package holds only what its commands run.
@@ -76,9 +78,25 @@ def concat(tensors, axis: int = 0) -> Tensor:
     return Tensor._from_op(out, tuple(tensors), backward)
 
 
+def block(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """Rows (axis 0) or columns (axis 1) ``start:stop`` of a matrix; backward
+    scatters the gradient into that block of the source."""
+    if t.ndim != 2 or axis not in (0, 1) or not 0 <= start < stop <= t.shape[axis]:
+        raise DimensionError(f"no block {start}:{stop} on axis {axis} of shape {t.shape}")
+    key = (slice(start, stop), slice(None)) if axis == 0 else (slice(None), slice(start, stop))
+
+    def backward(g):
+        grad = np.zeros_like(t.data)
+        grad[key] = g
+        _accum(t, grad)
+
+    return Tensor._from_op(t.data[key], (t,), backward)
+
+
 def lstm_step(cell, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
     """One update of ``cell`` on a [B, in] input and [B, hidden] states;
-    returns (h_t, C_t)."""
+    returns (h_t, C_t).  Gate k's pre-activation is [h_prev, x_t, 1] times
+    row block k of ``cell.W``, transposed: its weights, then its bias."""
     _check_batch(x_t, cell.input_size, "lstm", rank=2)
     rows = (x_t.shape[0], cell.hidden_size)
     for name, t in (("h_prev", h_prev), ("c_prev", c_prev)):
@@ -87,15 +105,14 @@ def lstm_step(cell, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
                 f"{name} shape {t.shape} incompatible with input shape {x_t.shape} "
                 f"and hidden size {cell.hidden_size}"
             )
-    cat = concat([h_prev, x_t], axis=-1)
+    cat = concat([h_prev, x_t, Tensor(np.ones((rows[0], 1)))], axis=-1)
+    H = cell.hidden_size
 
-    def gate(w, b):
-        return cat @ w.transpose((1, 0)) + b.expand(rows)
+    def gate(k):
+        return cat @ block(cell.W, 0, k * H, (k + 1) * H).transpose((1, 0))
 
-    i = sigmoid(gate(cell.W_i, cell.b_i))
-    f = sigmoid(gate(cell.W_f, cell.b_f))
-    o = sigmoid(gate(cell.W_o, cell.b_o))
-    cand = tanh(gate(cell.W_C, cell.b_C))
+    i, f, o = (sigmoid(gate(k)) for k in range(3))
+    cand = tanh(gate(3))
     c = f * c_prev + i * cand
     h = o * tanh(c)
     return h, c

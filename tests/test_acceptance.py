@@ -75,33 +75,28 @@ def test_gradient_correctness_all_layers():
             assert_gradients_match(fn_conv, [W.data.copy(), b.data.copy()])
 
         cell = LstmCell(3, 4, np.random.default_rng(i + 50))
-        cell_params = [p.data.copy() for p in cell.parameters().values()]
-        def fn_step(w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c, xv, hv, cv, cell=cell):
-            cell.W_i, cell.W_f, cell.W_o, cell.W_C = w_i, w_f, w_o, w_c
-            cell.b_i, cell.b_f, cell.b_o, cell.b_C = b_i, b_f, b_o, b_c
+        cell_weight = cell.W.data.copy()
+        def fn_step(w, xv, hv, cv, cell=cell):
+            cell.W = w
             h, c = lstm_step(cell, xv, hv, cv)
             return (h * h).sum() + c.sum()
         assert_gradients_match(
             fn_step,
-            cell_params + [rng.uniform(-1, 1, (1, 3)), rng.uniform(-1, 1, (1, 4)),
-                           rng.uniform(-1, 1, (1, 4))])
+            [cell_weight, rng.uniform(-1, 1, (1, 3)), rng.uniform(-1, 1, (1, 4)),
+             rng.uniform(-1, 1, (1, 4))])
 
-        def fn_unroll(w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c, seq, cell=cell):
-            cell.W_i, cell.W_f, cell.W_o, cell.W_C = w_i, w_f, w_o, w_c
-            cell.b_i, cell.b_f, cell.b_o, cell.b_C = b_i, b_f, b_o, b_c
+        def fn_unroll(w, seq, cell=cell):
+            cell.W = w
             out = cell.unroll(seq)
             return (out * out).sum()
-        assert_gradients_match(fn_unroll, cell_params + [rng.uniform(-1, 1, (1, 8, 3))])
+        assert_gradients_match(fn_unroll, [cell_weight, rng.uniform(-1, 1, (1, 8, 3))])
 
         head = AttentionHead(3, 2, np.random.default_rng(i + 90))
-        def fn_attn(wq, wk, wv, hv, head=head):
-            head.W_Q, head.W_K, head.W_V = wq, wk, wv
+        def fn_attn(w, hv, head=head):
+            head.W = w
             out = head(hv)
             return (out * out).sum()
-        assert_gradients_match(
-            fn_attn,
-            [head.W_Q.data.copy(), head.W_K.data.copy(), head.W_V.data.copy(),
-             rng.uniform(-1, 1, (1, 5, 3))])
+        assert_gradients_match(fn_attn, [head.W.data.copy(), rng.uniform(-1, 1, (1, 5, 3))])
 
         mix = rng.uniform(-1, 1, 6)
         def fn_softmax(xv, mix=mix):

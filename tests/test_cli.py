@@ -655,6 +655,31 @@ def test_corrupted_artifact_exit_two(workspace, tmp_path, capsys, case):
     assert paths[target].name in err and text in err
 
 
+def test_per_gate_checkpoint_exit_two(workspace, tmp_path, capsys):
+    """A checkpoint of the layout that stored the LSTM's four gate weights
+    and biases and the attention's three projections as separate entries
+    names no ``lstm/W`` or ``attention/W``: it must be retrained."""
+    arrays, meta = read_blob(workspace["out"] / "model_lstm_attention.bin")
+    lstm, attention = arrays.pop("lstm/W"), arrays.pop("attention/W")
+    H, d_k = lstm.shape[0] // 4, attention.shape[1] // 3
+    gates = [lstm[k * H:(k + 1) * H] for k in range(4)]
+    old = {f"lstm/W_{g}": rows[:, :-1] for g, rows in zip("ifoC", gates)}
+    old.update({f"lstm/b_{g}": rows[:, -1] for g, rows in zip("ifoC", gates)})
+    old.update({f"attention/W_{p}": attention[:, j * d_k:(j + 1) * d_k]
+                for j, p in enumerate("QKV")})
+    path = tmp_path / "per_gate.bin"
+    write_blob(path, {**old, **arrays}, meta)
+    for command, *rest in (("evaluate", "--raw"),
+                           ("predict", "--from", "2016-01-05 20:00:00",
+                            "--to", "2016-01-05 23:00:00")):
+        code = run(command, "--model", "lstm_attention", "--out", tmp_path, "--checkpoint", path,
+                   "--data", workspace["out"] / "dataset.bin", *rest)
+        err = capsys.readouterr().err
+        assert code == 2, command
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "per_gate.bin" in err and "do not match the spec" in err
+
+
 def _wrong_kind_argv(workspace, wrong):
     """flag -> (argv passing ``wrong`` for that flag, with good paths for the rest)"""
     data = workspace["out"] / "dataset.bin"

@@ -9,7 +9,7 @@ from metroflow.errors import ConfigError, DimensionError, NumericError, UsageErr
 from metroflow.layers import (AttentionHead, Dense, LstmCell, conv_stack, conv_weights,
                               glorot_uniform)
 from metroflow.tensor import Tensor, no_grad
-from reference import lstm_step, softmax
+from reference import block, lstm_step, softmax
 
 
 def make_rng(seed=0):
@@ -66,14 +66,12 @@ class TestLstmStep:
         h0 = make_rng(9).uniform(-1, 1, (1, 3))
         c0 = make_rng(10).uniform(-1, 1, (1, 3))
 
-        def fn(w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c, xv, hv, cv):
-            cell.W_i, cell.W_f, cell.W_o, cell.W_C = w_i, w_f, w_o, w_c
-            cell.b_i, cell.b_f, cell.b_o, cell.b_C = b_i, b_f, b_o, b_c
+        def fn(w, xv, hv, cv):
+            cell.W = w
             h, c = lstm_step(cell, xv, hv, cv)
             return (h * h).sum() + c.sum()
 
-        params = [p.data.copy() for p in cell.parameters().values()]
-        assert_gradients_match(fn, params + [x, h0, c0])
+        assert_gradients_match(fn, [cell.W.data.copy(), x, h0, c0])
 
 
 class TestLstmUnroll:
@@ -107,14 +105,12 @@ class TestLstmUnroll:
         cell = LstmCell(2, 2, make_rng(11))
         seq = make_rng(12).uniform(-1, 1, (1, 4, 2))
 
-        def fn(w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c, s):
-            cell.W_i, cell.W_f, cell.W_o, cell.W_C = w_i, w_f, w_o, w_c
-            cell.b_i, cell.b_f, cell.b_o, cell.b_C = b_i, b_f, b_o, b_c
+        def fn(w, s):
+            cell.W = w
             out = cell.unroll(s)
             return (out * out).sum()
 
-        params = [p.data.copy() for p in cell.parameters().values()]
-        assert_gradients_match(fn, params + [seq])
+        assert_gradients_match(fn, [cell.W.data.copy(), seq])
 
 
 class TestFusedUnroll:
@@ -122,9 +118,8 @@ class TestFusedUnroll:
 
     @staticmethod
     def leaves(cell, seq):
-        params = [Tensor(p.data.copy(), requires_grad=True) for p in cell.parameters().values()]
-        cell.W_i, cell.W_f, cell.W_o, cell.W_C, cell.b_i, cell.b_f, cell.b_o, cell.b_C = params
-        return [Tensor(seq.copy(), requires_grad=True)] + params
+        cell.W = Tensor(cell.W.data.copy(), requires_grad=True)
+        return [Tensor(seq.copy(), requires_grad=True), cell.W]
 
     def test_matches_step_chain(self):
         batch, n, size, hidden = 5, 7, 3, 4
@@ -155,14 +150,12 @@ class TestFusedUnroll:
         seq = make_rng(24).uniform(-1, 1, (3, 5, 2))
         weights = Tensor(make_rng(25).normal(size=(3, 5, 3)))
 
-        def fn(w_i, w_f, w_o, w_c, b_i, b_f, b_o, b_c, s):
-            cell.W_i, cell.W_f, cell.W_o, cell.W_C = w_i, w_f, w_o, w_c
-            cell.b_i, cell.b_f, cell.b_o, cell.b_C = b_i, b_f, b_o, b_c
+        def fn(w, s):
+            cell.W = w
             out = cell.unroll(s)
             return (out * out * weights).sum()
 
-        params = [p.data.copy() for p in cell.parameters().values()]
-        assert_gradients_match(fn, params + [seq])
+        assert_gradients_match(fn, [cell.W.data.copy(), seq])
 
     @pytest.mark.parametrize("shape", [(1, 1, 3), (1, 6, 3), (2, 1, 3), (2, 24, 3)])
     def test_one_node(self, shape):
@@ -170,7 +163,7 @@ class TestFusedUnroll:
         seq = Tensor(np.ones(shape), requires_grad=True)
         out = cell.unroll(seq)
         assert out.shape == shape[:-1] + (4,)
-        assert out._parents == (seq,) + tuple(cell.parameters().values())
+        assert out._parents == (seq, cell.W)
 
     def test_saturated_inputs_finite_without_warnings(self):
         cell = LstmCell(3, 4, make_rng(27))
@@ -323,28 +316,27 @@ class TestAttention:
         head = AttentionHead(3, 2, make_rng(1))
         h = make_rng(2).uniform(-1, 1, (1, 1, 3))
         out = head(Tensor(h))
-        np.testing.assert_allclose(out.data, h @ head.W_V.data, atol=1e-14)
+        np.testing.assert_allclose(out.data, h @ head.W.data[:, 4:], atol=1e-14)
 
     def test_identical_rows_give_identical_outputs(self):
         head = AttentionHead(3, 2, make_rng(3))
         row = make_rng(4).uniform(-1, 1, 3)
         out = head(Tensor(np.tile(row, (1, 5, 1))))
-        expected = row @ head.W_V.data
+        expected = row @ head.W.data[:, 4:]
         for i in range(5):
             np.testing.assert_allclose(out.data[0, i], expected, atol=1e-14)
 
     def test_outputs_in_value_hull(self):
         head = AttentionHead(4, 3, make_rng(7))
         h = make_rng(8).uniform(-2, 2, (1, 6, 4))
-        v = h[0] @ head.W_V.data
+        v = h[0] @ head.W.data[:, 6:]
         out = head(Tensor(h)).data[0]
         assert (out >= v.min(axis=0) - 1e-12).all()
         assert (out <= v.max(axis=0) + 1e-12).all()
 
     def test_permutation_equivariance_with_identity_projections(self):
         head = AttentionHead(3, 3, make_rng(9))
-        for w in (head.W_Q, head.W_K, head.W_V):
-            w.data[...] = np.eye(3)
+        head.W.data[...] = np.tile(np.eye(3), (1, 3))  # Q, K and V blocks
         h = make_rng(10).uniform(-1, 1, (1, 5, 3))
         perm = h.copy()
         perm[0, [1, 3]] = perm[0, [3, 1]]
@@ -363,13 +355,12 @@ class TestAttention:
         head = AttentionHead(3, 2, make_rng(11))
         h = make_rng(12).uniform(-1, 1, (1, 4, 3))
 
-        def fn(wq, wk, wv, hv):
-            head.W_Q, head.W_K, head.W_V = wq, wk, wv
+        def fn(w, hv):
+            head.W = w
             out = head(hv)
             return (out * out).sum()
 
-        arrays = [head.W_Q.data.copy(), head.W_K.data.copy(), head.W_V.data.copy(), h]
-        assert_gradients_match(fn, arrays)
+        assert_gradients_match(fn, [head.W.data.copy(), h])
 
     def test_matches_op_chain(self):
         head = AttentionHead(5, 4, make_rng(13))
@@ -377,18 +368,19 @@ class TestAttention:
         upstream = Tensor(make_rng(15).normal(size=(3, 6, 4)))
 
         def leaves():
-            weights = [Tensor(w.data.copy(), requires_grad=True)
-                       for w in (head.W_Q, head.W_K, head.W_V)]
-            return [Tensor(h.copy(), requires_grad=True)] + weights
+            return [Tensor(h.copy(), requires_grad=True),
+                    Tensor(head.W.data.copy(), requires_grad=True)]
 
         node = leaves()
-        head.W_Q, head.W_K, head.W_V = node[1:]
+        head.W = node[1]
         out = head(node[0])
         (out * upstream).sum().backward()
 
-        # the reference runs one window at a time through 2-D engine ops
+        # the reference runs one window at a time through 2-D engine ops,
+        # reading the Q, K and V blocks out of one leaf
         chain = leaves()
-        x, wq, wk, wv = chain
+        x, w = chain
+        wq, wk, wv = (block(w, 1, j * 4, (j + 1) * 4) for j in range(3))
         n = h.shape[1]
         scale = Tensor(np.array(1 / np.sqrt(4))).expand((n, n))
         reference, loss = [], None
@@ -408,7 +400,7 @@ class TestAttention:
         head = AttentionHead(3, 2, make_rng(16))
         h = Tensor(np.ones((2, 4, 3)))
         out = head(h)
-        assert out._parents == (h, head.W_Q, head.W_K, head.W_V)
+        assert out._parents == (h, head.W)
         out.sum().backward()
         assert h.grad is None
 
@@ -603,5 +595,26 @@ class TestInit:
 
     def test_forget_bias_ones(self):
         cell = LstmCell(3, 5, make_rng())
-        np.testing.assert_array_equal(cell.b_f.data, np.ones(5))
-        np.testing.assert_array_equal(cell.b_i.data, np.zeros(5))
+        bias = cell.W.data[:, -1]  # the column that multiplies the constant 1
+        np.testing.assert_array_equal(bias[5:10], np.ones(5))
+        np.testing.assert_array_equal(bias[:5], np.zeros(5))
+
+    def test_lstm_weight_is_four_ordered_draws(self):
+        # i, f, o, C drawn in that order, as a seed always gave them
+        cell = LstmCell(3, 5, make_rng(70))
+        rng = make_rng(70)
+        draws = [glorot_uniform(rng, (5, 8), 8, 5).data for _ in range(4)]
+        bias = np.repeat([0.0, 1.0, 0.0, 0.0], 5)[:, None]
+        expected = np.concatenate([np.concatenate(draws), bias], axis=1)
+        assert cell.W.shape == (20, 9)
+        assert (cell.W.data == expected).all()
+        assert cell.parameters() == {"W": cell.W}
+
+    def test_attention_weight_is_three_ordered_draws(self):
+        # Q, K, V drawn in that order, side by side
+        head = AttentionHead(6, 4, make_rng(71))
+        rng = make_rng(71)
+        draws = [glorot_uniform(rng, (6, 4), 6, 4).data for _ in range(3)]
+        assert head.W.shape == (6, 12)
+        assert (head.W.data == np.concatenate(draws, axis=1)).all()
+        assert head.parameters() == {"W": head.W}

@@ -265,7 +265,7 @@ class TestBatch:
             if id(node) not in seen:
                 seen.add(id(node))
                 todo.extend(node._parents)
-        assert len(seen) == 31
+        assert len(seen) == 22
 
 
 class TestCheckpoint:

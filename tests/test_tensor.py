@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from gradcheck import assert_gradients_match, max_relative_error, numerical_grad
 from metroflow.errors import DimensionError, NumericError, UsageError
 from metroflow.tensor import Tensor, matmul, no_grad
-from reference import concat, sigmoid, softmax, tanh
+from reference import block, concat, sigmoid, softmax, tanh
 
 
 class TestMatmul:
@@ -197,6 +197,27 @@ class TestConcatSlice:
             return tanh(concat([x, y], axis=1) * z).sum()
 
         assert_gradients_match(fn, [a, b, w])
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_block_grad_scatters_into_source(self, axis):
+        rng = np.random.default_rng(6)
+        a = rng.uniform(-2, 2, (4, 6))
+        w = rng.uniform(-2, 2, (2, 6) if axis == 0 else (4, 3))
+
+        def fn(x, z):
+            return tanh(block(x, axis, 1, 3 + axis) * z).sum()
+
+        grads = assert_gradients_match(fn, [a, w])
+        outside = np.delete(grads[0], np.s_[1:3 + axis], axis=axis)
+        assert (outside == 0.0).all()
+
+    def test_block_values_and_bounds(self):
+        x = Tensor(np.arange(12.0).reshape(3, 4))
+        np.testing.assert_array_equal(block(x, 0, 1, 2).data, [[4, 5, 6, 7]])
+        np.testing.assert_array_equal(block(x, 1, 2, 4).data, [[2, 3], [6, 7], [10, 11]])
+        for args in ((0, 2, 4), (1, 3, 3), (2, 0, 1)):
+            with pytest.raises(DimensionError):
+                block(x, *args)
 
     def test_int_index_grad(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
