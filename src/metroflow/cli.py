@@ -191,9 +191,11 @@ def plot_test_slice(model: ForecastModel, bundle) -> str:
 def train_kinds(settings: Settings, kinds) -> tuple:
     """``train`` and ``compare``: train each of ``kinds`` under one TrainConfig,
     then write each one's checkpoint, report, timing sidecar and, with ``plot``,
-    SVG.  All train before any file is written, so a failure, whose NumericError
+    SVG.  ``--out`` is resolved first, so a file there fails before training.
+    All train before any file is written, so a failure, whose NumericError
     names the kind, leaves none.  Returns the output directory and the reports."""
     config = TrainConfig(**{key: settings.get(key) for key in TRAIN_KEYS})
+    out = settings.out_dir()
     bundle = load_cache(settings.dataset_path())
     models = {kind: build_model(ModelSpec(
         kind=kind, input_features=bundle.input_features, window=bundle.window,
@@ -205,7 +207,6 @@ def train_kinds(settings: Settings, kinds) -> tuple:
             reports[kind] = train(model, bundle, config)
         except NumericError as err:
             raise NumericError(f"{kind}: {err}") from err
-    out = settings.out_dir()
     for kind, model in models.items():
         model.save(out / f"model_{kind}.bin", data_hash=bundle.data_hash)
         write_json(out / f"train_report_{kind}.json", reports[kind].to_dict())

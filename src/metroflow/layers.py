@@ -2,6 +2,7 @@
 
 Every layer takes a batch and nothing else.  ``conv_stack``,
 ``LstmCell.unroll`` and ``AttentionHead`` take windows [B, n, channels];
+``AttentionHead`` returns their mean-pooled context vectors [B, d_k], and
 ``Dense`` takes rows [B, channels].  Any other rank or channel width is a
 DimensionError; one window is a batch of one.
 
@@ -252,17 +253,20 @@ class LstmCell:
 
 
 class AttentionHead:
-    """Scaled dot-product self-attention over a sequence.
+    """Scaled dot-product self-attention over a sequence, mean-pooled to one
+    context vector [B, d_k] (Bahdanau et al. 2015, arXiv:1409.0473).
 
-    Q, K and V are linear projections of the same input; each output row is
-    a convex combination of the V rows with softmax(QK^T/sqrt(d_k)) weights.
+    Q, K and V are linear projections of the same input; each attended row
+    is a convex combination of the V rows with softmax(QK^T/sqrt(d_k))
+    weights, and the context vector is the mean of a window's n rows.
 
     The one weight ``W`` is a [d, 3 d_k] matrix whose column blocks project
     to Q, K and V in that order, three Glorot draws made in that order.  A
     call is one graph node with parents (h, W).  The softmax subtracts each
     row's maximum, and non-finite scores raise NumericError.  The backward
-    gets the gradient of ``W`` from one [d, B * n] x [B * n, 3 d_k] matmul
-    and the input gradient from one more.
+    spreads g / n over the n attended rows, of which it keeps only the
+    shape, and gets the gradient of ``W`` from one [d, B * n] x
+    [B * n, 3 d_k] matmul and the input gradient from one more.
     Under ``no_grad`` the one forward frees q and k before v is projected.
     """
 
@@ -293,6 +297,7 @@ class AttentionHead:
         v = x @ w[:, 2 * d_k:]
 
         def backward(g):
+            g = np.broadcast_to(g[:, None], v.shape) / v.shape[1]  # the mean's: g / n on each row
             dweights = g @ v.transpose(0, 2, 1)
             ds = weights * (dweights - (dweights * weights).sum(axis=-1, keepdims=True))
             ds *= scale
@@ -306,7 +311,7 @@ class AttentionHead:
             if h.requires_grad:
                 _accum(h, (flat @ w.T).reshape(x.shape))
 
-        return Tensor._from_op(weights @ v, parents, backward)
+        return Tensor._from_op((weights @ v).mean(axis=1), parents, backward)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"W": self.W}

@@ -127,9 +127,8 @@ class ForecastModel:
         its replays call this method by name."""
         return conv_stack(x3, self.convs)
 
-    def forward_batch(self, windows) -> Tensor:
-        """Forecast a batch [B, n, d]; row i equals the one-row batch windows[i:i+1]."""
-        x = windows if isinstance(windows, Tensor) else Tensor(windows)
+    def forward_batch(self, x: Tensor) -> Tensor:
+        """Forecast the windows Tensor ``x`` [B, n, d]; row i is x[i:i+1]'s forecast."""
         expected = (self.spec.window, self.spec.input_features)
         if x.ndim != 3 or x.shape[1:] != expected:
             raise DimensionError(
@@ -139,11 +138,11 @@ class ForecastModel:
             x = self._multi_scale(x)
         if self.lstm is not None:
             x = self.lstm.unroll(x)
-        if self.attention is not None:
-            pooled = self.attention(x).mean(axis=1)
+        if self.attention is not None:  # the mean-pooled context vector
+            x = self.attention(x)
         else:  # no attention: the last step is the sequence read-out
-            pooled = x[:, x.shape[1] - 1, :]
-        return self.head(pooled)
+            x = x[:, x.shape[1] - 1, :]
+        return self.head(x)
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Inference without graph construction, in chunks of ``PREDICT_BATCH``;
@@ -152,7 +151,7 @@ class ForecastModel:
         with no_grad(), np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, len(windows), PREDICT_BATCH):
                 chunks.append(self.forward_batch(Tensor(windows[start:start + PREDICT_BATCH])).data)
-        preds = np.concatenate(chunks, axis=0) if chunks else np.zeros((0, self.spec.horizon))
+        preds = np.concatenate(chunks, axis=0)
         if not np.isfinite(preds).all():
             raise NumericError("model outputs are not finite; the weights may have diverged")
         return preds

@@ -10,6 +10,8 @@ on the same graph is rejected; rebuild the forward pass instead.
 One shape rule: elementwise arithmetic takes operands of equal shape,
 ``matmul`` takes an [m, k] and a [k, n] matrix, and ``Tensor.expand`` is
 the only broadcast.  Anything else is a DimensionError naming both shapes.
+``sum`` and ``mean`` reduce the whole tensor to a scalar; a layer that
+pools over an axis, as ``AttentionHead`` does, pools inside its own node.
 
 One dtype rule: a tensor holds float32 or float64, and a gradient has its
 tensor's dtype.  An op on operands of different dtypes follows numpy's
@@ -152,22 +154,17 @@ class Tensor:
 
     # -- reductions ---------------------------------------------------------
 
-    def sum(self, axis=None):
-        out = self.data.sum(axis=axis)
-
+    def sum(self):
         def backward(g):
-            _accum(self, _spread(g, self.data.shape, axis))
+            _accum(self, np.broadcast_to(g, self.shape))
 
-        return Tensor._from_op(out, (self,), backward)
+        return Tensor._from_op(self.data.sum(), (self,), backward)
 
-    def mean(self, axis=None):
-        count = self.size if axis is None else self.data.shape[axis]
-        out = self.data.mean(axis=axis)
-
+    def mean(self):
         def backward(g):
-            _accum(self, _spread(g, self.data.shape, axis) / count)
+            _accum(self, np.broadcast_to(g, self.shape) / self.size)
 
-        return Tensor._from_op(out, (self,), backward)
+        return Tensor._from_op(self.data.mean(), (self,), backward)
 
     # -- shape ops ----------------------------------------------------------
 
@@ -242,13 +239,6 @@ def _elementwise_binary(a: Tensor, other, fn, grads):
             _accum(b, gb)
 
     return Tensor._from_op(out, (a, b), backward)
-
-
-def _spread(g, shape, axis) -> np.ndarray:
-    # inverse of a sum reduction: broadcast g back over the reduced axes
-    if axis is not None:
-        g = np.expand_dims(g, axis)
-    return np.broadcast_to(g, shape)
 
 
 def matmul(a: Tensor, b) -> Tensor:

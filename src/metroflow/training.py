@@ -121,7 +121,8 @@ def metrics(pred, target) -> MetricTriple:
 
 
 class Adam:
-    """Bias-corrected adaptive moment optimizer over a parameter registry."""
+    """Bias-corrected adaptive moment optimizer over a parameter registry;
+    a step reads every parameter's gradient, as every training step makes one."""
 
     beta1 = 0.9
     beta2 = 0.999
@@ -138,7 +139,7 @@ class Adam:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for name, p in self.params.items():
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+            g = p.grad
             if g.shape != p.data.shape:
                 raise DimensionError(f"gradient shape {g.shape} != param shape {p.data.shape}")
             self.m[name] = b1 * self.m[name] + (1 - b1) * g
@@ -150,18 +151,16 @@ class Adam:
 
 
 def clip_grad_norm(params: dict[str, Tensor]) -> float:
-    """Scale all gradients so their global L2 norm, summed in float64, is at
-    most ``GRAD_CLIP``; each gradient keeps its dtype."""
+    """Scale all gradients, one per parameter, so their global L2 norm,
+    summed in float64, is at most ``GRAD_CLIP``; each keeps its dtype."""
     total = 0.0
     for p in params.values():
-        if p.grad is not None:
-            total += float(np.square(p.grad, dtype=np.float64).sum())
+        total += float(np.square(p.grad, dtype=np.float64).sum())
     norm = float(np.sqrt(total))
     if norm > GRAD_CLIP:
         scale = GRAD_CLIP / norm
         for p in params.values():
-            if p.grad is not None:
-                p.grad *= scale
+            p.grad *= scale
     return norm
 
 

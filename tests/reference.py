@@ -3,8 +3,10 @@
 ``LstmCell.unroll`` and ``AttentionHead`` each run as one graph node with a
 hand-written backward.  The tests check each against a chain of small
 engine ops at 1e-12: ``lstm_step`` is one LSTM update, built from
-``concat``, ``sigmoid`` and ``tanh``, and ``softmax`` closes the attention
-chain.  Each layer holds one weight; ``block`` reads a gate's rows or a
+``concat``, ``sigmoid`` and ``tanh``, and ``softmax`` and ``mean`` close
+the attention chain, ``mean`` pooling its rows into the context vector
+over one axis, where the engine's ``Tensor.mean`` reduces the whole
+tensor.  Each layer holds one weight; ``block`` reads a gate's rows or a
 projection's columns out of it, and its backward scatters the gradient
 back into that block.  Each reference builds its nodes through
 ``Tensor._from_op``, as the engine's own ops do, and is itself checked
@@ -50,6 +52,16 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
         _accum(t, out * (g - inner))
 
     return Tensor._from_op(out, (t,), backward)
+
+
+def mean(t: Tensor, axis: int) -> Tensor:
+    """Mean over one axis; backward spreads g / n over that axis."""
+    count = t.shape[axis]
+
+    def backward(g):
+        _accum(t, np.broadcast_to(np.expand_dims(g, axis), t.shape) / count)
+
+    return Tensor._from_op(t.data.mean(axis=axis), (t,), backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:

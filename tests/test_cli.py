@@ -351,6 +351,19 @@ class TestTrain:
         assert capsys.readouterr().err == "error: val split is empty\n"
         assert not (out / "model_lstm_cnn.bin").exists()
 
+    def test_out_not_a_directory_exit_two_before_training(self, workspace, tmp_path, monkeypatch,
+                                                          capsys):
+        # with --data given, nothing else resolves --out before the kinds train
+        def refuse(*args, **kwargs):
+            raise AssertionError("train ran before --out was checked")
+
+        monkeypatch.setattr(cli, "train", refuse)
+        wrong = tmp_path / "wrong"
+        wrong.write_text("not a directory\n")
+        code = run("compare", "--out", wrong, "--data", workspace["out"] / "dataset.bin", *SMALL)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --out {wrong} is not a directory\n"
+
     def test_runtime_failure_exit_one(self, workspace, tmp_path, monkeypatch):
         from metroflow.errors import NumericError
 

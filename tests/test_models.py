@@ -113,20 +113,20 @@ class TestForward:
     def test_output_shape(self, kind):
         for horizon in (1, 6):
             model = build_model(small_spec(kind, horizon=horizon))
-            out = model.forward_batch(np.zeros((1, 8, 5)))
+            out = model.forward_batch(Tensor(np.zeros((1, 8, 5))))
             assert out.shape == (1, horizon)
 
     def test_zero_head_outputs_bias(self):
         model = build_model(small_spec("mstim", horizon=3))
         model.head.W.data[...] = 0.0
         model.head.b.data[...] = [1.0, 2.0, 3.0]
-        out = model.forward_batch(np.random.default_rng(0).uniform(-1, 1, (1, 8, 5)))
+        out = model.forward_batch(Tensor(np.random.default_rng(0).uniform(-1, 1, (1, 8, 5))))
         np.testing.assert_allclose(out.data, [[1.0, 2.0, 3.0]], atol=1e-12)
 
     def test_window_shape_mismatch(self):
         model = build_model(small_spec("mstim"))
         with pytest.raises(DimensionError):
-            model.forward_batch(np.zeros((1, 8, 4)))
+            model.forward_batch(Tensor(np.zeros((1, 8, 4))))
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_no_dead_branch(self, kind):
@@ -265,7 +265,7 @@ class TestBatch:
             if id(node) not in seen:
                 seen.add(id(node))
                 todo.extend(node._parents)
-        assert len(seen) == 22
+        assert len(seen) == 21
 
 
 class TestCheckpoint:
