@@ -4,10 +4,20 @@ Each model maps a batch of windows of feature vectors [B, n, d] to forecasts
 [B, T].  The multi-scale variants run parallel 1-D convolutions with
 one branch per kernel size and fuse them by channel concatenation, so every
 branch keeps the full temporal resolution expected by the recurrent stage.
+
+``predict`` of more than one chunk, on a process that may run on two or
+more CPUs, computes each full chunk as two halves on two threads, the caller
+and one worker, with OpenBLAS held at one thread while they run: the numpy
+work of the two halves then fills two cores.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,6 +39,18 @@ KINDS = tuple(STAGES)
 #: Windows per forward pass in ``predict``.
 PREDICT_BATCH = 256
 
+#: OpenBLAS's thread-count getters under the names its builds export; each
+#: setter has ``set`` where its getter has ``get``.
+_BLAS_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads")
+
+#: The memory map of this process (Linux), where OpenBLAS is looked up.
+_MAPS = "/proc/self/maps"
+
+#: Held by a ``predict`` while it holds OpenBLAS at one thread, so that two
+#: concurrent calls cannot restore each other's count.
+_BLAS_HOLD = threading.Lock()
+
 #: The dtype a built model's parameters, and so its computation, take.
 DTYPE = np.float32
 
@@ -36,6 +58,62 @@ DTYPE = np.float32
 def _is_int(value) -> bool:
     """True for an int that is not a bool (``isinstance(True, int)`` holds)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _openblas_paths(maps) -> list:
+    """The paths of the mapped files named like OpenBLAS, from the lines of
+    ``_MAPS``; a path may hold spaces, and a file replaced on disk since it
+    was mapped is listed by the path it was loaded from."""
+    paths = set()
+    for line in maps:
+        fields = line.rstrip("\n").split(maxsplit=5)  # the sixth field is the path
+        if len(fields) == 6 and "openblas" in fields[5]:
+            paths.add(fields[5].removesuffix(" (deleted)"))
+    return sorted(paths)
+
+
+@functools.cache
+def _blas_thread_controls():
+    """OpenBLAS's thread-count getter and setter, from the first library
+    mapped into this process that loads by its path and exports both; None
+    where none does."""
+    paths = []
+    with suppress(OSError), open(_MAPS, encoding="utf-8") as maps:
+        paths = _openblas_paths(maps)
+    for path in paths:
+        with suppress(OSError):  # a path that no longer loads
+            lib = ctypes.CDLL(path)
+            for name in _BLAS_GETTERS:
+                get, put = getattr(lib, name, None), getattr(lib, name.replace("get", "set"), None)
+                if get is not None and put is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    put.argtypes, put.restype = [ctypes.c_int], None
+                    return get, put
+
+
+def _cores() -> int:
+    """The CPUs this process may run on; the machine's where the platform
+    cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1  # no affinity call: macOS, Windows
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread inside the block, and restore the count it
+    had after; where no OpenBLAS is found, change nothing."""
+    controls = _blas_thread_controls()
+    if controls is None:
+        yield
+        return
+    get, put = controls
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
 
 
 def check_seed(seed) -> None:
@@ -146,15 +224,60 @@ class ForecastModel:
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
         """Inference without graph construction, in chunks of ``PREDICT_BATCH``;
-        a non-finite forecast is a NumericError, never an inf or nan row."""
-        chunks = []
-        with no_grad(), np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, len(windows), PREDICT_BATCH):
-                chunks.append(self.forward_batch(Tensor(windows[start:start + PREDICT_BATCH])).data)
-        preds = np.concatenate(chunks, axis=0)
+        a non-finite forecast is a NumericError, never an inf or nan row.
+
+        With more than one chunk and two or more CPUs, each full chunk runs
+        as two halves, the even ones on the calling thread and the odd ones
+        on one worker thread, with OpenBLAS held at one thread; a last
+        partial chunk runs whole.  A half gives the bytes the whole chunk
+        would, and a failure raises the earliest failing piece's error, so
+        the result is the chunk loop's.  No thread outlives the call.
+        OpenBLAS's thread count is process-wide: other threads of the
+        process see one while a split call runs, and concurrent split calls
+        take turns."""
+        preds = np.concatenate(self._forecast_pieces(windows), axis=0)
         if not np.isfinite(preds).all():
             raise NumericError("model outputs are not finite; the weights may have diverged")
         return preds
+
+    def _forecast_pieces(self, windows) -> list:
+        """The forecasts of ``predict``'s pieces, in order: whole chunks, or
+        the halves of full chunks and a last partial chunk when it splits."""
+        split = len(windows) > PREDICT_BATCH and _cores() > 1
+        size = PREDICT_BATCH // 2 if split else PREDICT_BATCH
+        full = len(windows) - len(windows) % PREDICT_BATCH
+        pieces = [slice(start, start + size) for start in range(0, full, size)]
+        if full < len(windows):
+            pieces.append(slice(full, len(windows)))
+        outputs = [None] * len(pieces)
+        failures = []  # (piece index, its error); -1 stops every piece
+
+        def compute(first, step):
+            with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+                for i in range(first, len(pieces), step):
+                    if any(j < i for j, _ in failures):  # a piece before this one failed
+                        return
+                    try:
+                        outputs[i] = self.forward_batch(Tensor(windows[pieces[i]])).data
+                    except Exception as exc:
+                        failures.append((i, exc))
+
+        if not split:
+            compute(0, 1)
+        else:
+            worker = threading.Thread(target=compute, args=(1, 2), name="metroflow-predict")
+            with _BLAS_HOLD, _one_blas_thread():
+                worker.start()
+                try:
+                    compute(0, 2)
+                    worker.join()
+                except BaseException:  # an interrupt: the worker stops after its current piece
+                    failures.append((-1, None))
+                    worker.join()
+                    raise
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return outputs
 
     # -- checkpointing ------------------------------------------------------
 

@@ -42,6 +42,10 @@ EXEMPT = {
         "and CI's smoke step runs it",
     "metroflow.data.Windows.nbytes":
         "perfbench's data.window_bytes reads it, and perfbench/ lies outside the package",
+    "metroflow.models._cores: return os.cpu_count() or 1":
+        "the platforms without os.sched_getaffinity; CI runs Linux",
+    "metroflow.models._one_blas_thread: if controls is None:":
+        "the no-OpenBLAS arm: CI's Linux numpy wheels always bundle OpenBLAS",
     "metroflow.plot.line_chart: lo, hi = lo - 1.0, hi + 1.0":
         "the zero-range guard keeps y_at from dividing by zero; no CLI input is known "
         "to give equal actual and predicted values at every point",

@@ -12,6 +12,9 @@ back into that block.  Each reference builds its nodes through
 ``Tensor._from_op``, as the engine's own ops do, and is itself checked
 against the finite-difference oracle in ``tests/gradcheck.py``.
 
+``serial_predict`` is ``ForecastModel.predict`` as one loop over whole
+chunks on the calling thread, the reference for its concurrent halves.
+
 No command of the package runs any of them, so they live here and not in
 ``src/metroflow``: the package holds only what its commands run.
 """
@@ -20,7 +23,8 @@ import numpy as np
 
 from metroflow.errors import DimensionError, NumericError, UsageError
 from metroflow.layers import _check_batch
-from metroflow.tensor import Tensor, _accum, _as_tensor
+from metroflow.models import PREDICT_BATCH
+from metroflow.tensor import Tensor, _accum, _as_tensor, no_grad
 
 
 def tanh(t: Tensor) -> Tensor:
@@ -128,3 +132,15 @@ def lstm_step(cell, x_t: Tensor, h_prev: Tensor, c_prev: Tensor):
     c = f * c_prev + i * cand
     h = o * tanh(c)
     return h, c
+
+
+def serial_predict(model, windows) -> np.ndarray:
+    """``model.predict`` of ``windows`` as a loop over ``PREDICT_BATCH``-window
+    chunks on this thread, with its non-finite check."""
+    with no_grad(), np.errstate(over="ignore", invalid="ignore"):
+        preds = np.concatenate([
+            model.forward_batch(Tensor(windows[start:start + PREDICT_BATCH])).data
+            for start in range(0, len(windows), PREDICT_BATCH)])
+    if not np.isfinite(preds).all():
+        raise NumericError("model outputs are not finite; the weights may have diverged")
+    return preds

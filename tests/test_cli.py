@@ -19,7 +19,9 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from metroflow import cli
 from metroflow.data import SPLITS, load_cache
+from metroflow.models import PREDICT_BATCH, ForecastModel
 from metroflow.serialize import read_blob, write_blob
+from reference import serial_predict
 
 HEADER = ("holiday,temp,rain_1h,snow_1h,clouds_all,weather_main,"
           "weather_description,date_time,traffic_volume")
@@ -577,6 +579,26 @@ class TestEvaluate:
                        "--raw", "--checkpoint", checkpoint, "--data", data) == 0
         name = "evaluation_lstm_attention.json"
         assert (tmp_path / "old" / name).read_bytes() == (tmp_path / "new" / name).read_bytes()
+
+    def test_multi_chunk_split_matches_chunk_loop(self, tmp_path, monkeypatch, capsys):
+        # a test split of more than one chunk is predicted in concurrent halves
+        out = tmp_path / "out"
+        assert run("prepare", "--csv", write_csv(tmp_path / "long.csv", hours=1800),
+                   "--out", out, "--window", "8") == 0
+        assert len(load_cache(out / "dataset.bin").test.windows) > PREDICT_BATCH
+        assert run("train", "--model", "mstim", "--out", out, *SMALL) == 0
+        arrays, meta = read_blob(out / "model_mstim.bin")
+        write_blob(tmp_path / "huge.bin", {name: a * 1e30 for name, a in arrays.items()}, meta)
+        capsys.readouterr()
+        assert run("evaluate", "--model", "mstim", "--out", tmp_path, "--checkpoint",
+                   tmp_path / "huge.bin", "--data", out / "dataset.bin") == 1
+        assert capsys.readouterr().err == "error: attention scores contain non-finite values\n"
+        assert run("evaluate", "--model", "mstim", "--out", out, "--raw") == 0
+        monkeypatch.setattr(ForecastModel, "predict", serial_predict)
+        assert run("evaluate", "--model", "mstim", "--out", tmp_path / "loop", "--raw",
+                   "--checkpoint", out / "model_mstim.bin", "--data", out / "dataset.bin") == 0
+        name = "evaluation_mstim.json"
+        assert (tmp_path / "loop" / name).read_bytes() == (out / name).read_bytes()
 
 
 def _entry(header, name):

@@ -1,4 +1,6 @@
 import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 import test_layers
 from gradcheck import assert_gradients_match
+from reference import serial_predict
 from metroflow import models
 from metroflow.errors import (CompatibilityError, ConfigError, DimensionError, NumericError,
                               SchemaError)
@@ -266,6 +269,183 @@ class TestBatch:
                 seen.add(id(node))
                 todo.extend(node._parents)
         assert len(seen) == 21
+
+
+def paper_model(kind, seed=40):
+    return build_model(ModelSpec(kind=kind, input_features=21, seed=seed))
+
+
+@pytest.fixture
+def blas_threads():
+    """OpenBLAS's thread-count getter, through ``predict``'s own lookup, with
+    the count set to two for the test and restored after; skips where no
+    OpenBLAS is loaded."""
+    controls = models._blas_thread_controls()
+    if controls is None:
+        pytest.skip("no OpenBLAS is loaded")
+    get, put = controls
+    before = get()
+    put(2)
+    yield get
+    put(before)
+
+
+def failing_forward(model, monkeypatch, fails):
+    """Make ``model.forward_batch`` record OpenBLAS's thread count, where one
+    is loaded, per call and raise ``fails(rows)`` for a batch of window rows
+    when that gives an error; ``row_windows`` fills each window with its row."""
+    controls = models._blas_thread_controls()
+    seen, forward = [], model.forward_batch
+
+    def patched(x):
+        seen.append(controls[0]() if controls else None)
+        rows = x.data[:, 0, 0].astype(int)
+        error = fails(rows)
+        if error is not None:
+            raise error
+        return forward(x)
+
+    monkeypatch.setattr(model, "forward_batch", patched)
+    return seen
+
+
+def row_windows(count):
+    return np.broadcast_to(np.arange(count, dtype=np.float64)[:, None, None], (count, 24, 21))
+
+
+class TestThreadedPredict:
+    """More than one chunk runs as two halves per full chunk on two threads,
+    with the same bytes and the same errors as the chunk loop."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bit_identical_to_chunk_loop(self, kind):
+        model = paper_model(kind)
+        windows = np.random.default_rng(41).standard_normal((700, 24, 21))
+        for count in (1, 127, 128, 255, 256, 257, 384, 511, 512, 700):
+            preds = model.predict(windows[:count])
+            assert preds.dtype == np.float32
+            assert preds.tobytes() == serial_predict(model, windows[:count]).tobytes(), count
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_window_same_error_as_chunk_loop(self, kind):
+        model = paper_model(kind)
+        windows = np.random.default_rng(42).standard_normal((700, 24, 21))
+        windows[400, 3] = np.nan  # the worker's half of the second chunk
+        with pytest.raises(NumericError) as serial:
+            serial_predict(model, windows)
+        threads = threading.active_count()
+        with pytest.raises(NumericError) as threaded:
+            model.predict(windows)
+        assert str(threaded.value) == str(serial.value)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("marked", [(130, 600), (300, 400), (450, 300), (699,)],
+                             ids=["worker-first", "caller-first", "same-chunk", "partial"])
+    def test_earliest_failing_half_raises(self, marked, monkeypatch):
+        model = paper_model("cnn_attention")
+        failing_forward(model, monkeypatch, lambda rows: next(
+            (ValueError(f"row {r}") for r in sorted(marked) if r in rows), None))
+        with pytest.raises(ValueError, match=f"^row {min(marked)}$"):
+            model.predict(row_windows(700))
+
+    @pytest.mark.parametrize("count", [200, 700])
+    def test_threads_and_blas_count_restored(self, count, monkeypatch, blas_threads):
+        model = paper_model("mstim")
+        threads = threading.active_count()
+        seen = failing_forward(model, monkeypatch, lambda rows: None)
+        model.predict(row_windows(count))
+        # one chunk or less runs on the caller alone and leaves BLAS as it is
+        assert set(seen) == ({2} if count <= models.PREDICT_BATCH else {1})
+        assert (blas_threads(), threading.active_count()) == (2, threads)
+        failing_forward(model, monkeypatch, lambda rows: ValueError("bad") if 500 in rows else None)
+        with pytest.raises(ValueError, match="bad"):
+            model.predict(row_windows(700))
+        assert (blas_threads(), threading.active_count()) == (2, threads)
+
+    def test_concurrent_calls_take_turns(self, monkeypatch, blas_threads):
+        # two threads predicting at once: each hold reads the count the
+        # process had before either, so the last restore leaves it there
+        get, put = models._blas_thread_controls()
+        reads = []
+        monkeypatch.setattr(models, "_blas_thread_controls",
+                            lambda: (lambda: reads.append(get()) or reads[-1], put))
+        model, windows = paper_model("cnn_attention"), row_windows(700)
+        expected = serial_predict(model, windows)
+        results = []
+        threads = threading.active_count()
+        callers = [threading.Thread(target=lambda: results.extend(
+            model.predict(windows).tobytes() for _ in range(3))) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [expected.tobytes()] * 9
+        assert reads == [2] * 9
+        assert (blas_threads(), threading.active_count()) == (2, threads)
+
+    def test_one_core_runs_the_chunk_loop(self, monkeypatch, blas_threads):
+        model = paper_model("mstim")
+        monkeypatch.setattr(models, "_cores", lambda: 1)
+        threads = threading.active_count()
+        sizes = []
+        seen = failing_forward(model, monkeypatch, lambda rows: sizes.append(len(rows)))
+        preds = model.predict(row_windows(700))
+        assert sizes == [256, 256, 188] and set(seen) == {2}
+        assert threading.active_count() == threads
+        assert preds.tobytes() == serial_predict(model, row_windows(700)).tobytes()
+
+    def test_interrupt_stops_worker_and_restores_blas(self, monkeypatch, blas_threads):
+        model = paper_model("lstm_cnn")
+        threads = threading.active_count()
+        seen = failing_forward(model, monkeypatch, lambda rows: KeyboardInterrupt()
+                               if threading.current_thread() is threading.main_thread()
+                               and 300 in rows else None)
+        with pytest.raises(KeyboardInterrupt):
+            model.predict(row_windows(3000))
+        assert (blas_threads(), threading.active_count()) == (2, threads)
+        # the caller's second half raises; had the worker not stopped, it
+        # would have computed all 11 of its halves
+        assert len(seen) <= 8
+
+
+class TestBlasLookup:
+    """OpenBLAS is found by the paths in the process's memory map."""
+
+    def test_paths_keep_spaces_and_drop_deleted_mark(self):
+        maps = [
+            "7f00-7f01 r-xp 00000000 08:01 12 /home/u/My Projects/env/libscipy_openblas64_.so\n",
+            "7f02-7f03 r--p 00000000 08:01 13 /opt/libopenblas.so (deleted)\n",
+            "7f04-7f05 rw-p 00000000 00:00 0 \n",
+            "7f06-7f07 r-xp 00000000 08:01 14 /usr/lib/libm.so.6\n",
+            "7f08-7f09 r-xp 00000000 08:01 12 /home/u/My Projects/env/libscipy_openblas64_.so\n",
+        ]
+        assert models._openblas_paths(maps) == [
+            "/home/u/My Projects/env/libscipy_openblas64_.so", "/opt/libopenblas.so"]
+
+    def test_unloadable_paths_are_skipped(self, tmp_path, monkeypatch):
+        real = models._openblas_paths(open(models._MAPS, encoding="utf-8"))
+        if not real:
+            pytest.skip("no OpenBLAS is loaded")
+        maps = tmp_path / "maps"
+        lines = [f"7f00-7f01 r-xp 00000000 08:01 {i} {path}\n" for i, path in enumerate(
+            [f"{tmp_path}/My Projects/libopenblas.so", f"{tmp_path}/libopenblas.so (deleted)"])]
+        maps.write_text("".join(lines))
+        monkeypatch.setattr(models, "_MAPS", str(maps))
+        models._blas_thread_controls.cache_clear()
+        try:
+            assert models._blas_thread_controls() is None
+            maps.write_text("".join(lines) + f"7f02-7f03 r-xp 00000000 08:01 9 {real[0]}\n")
+            models._blas_thread_controls.cache_clear()
+            get, put = models._blas_thread_controls()
+            assert get() >= 1
+        finally:
+            models._blas_thread_controls.cache_clear()
 
 
 class TestCheckpoint:

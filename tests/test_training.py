@@ -285,7 +285,8 @@ class TestTrainLoop:
 
 
 #: 30 Adam steps of mstim at the paper's shapes, in float32 as ``train`` runs
-#: them; prints a digest of the weight bytes.
+#: them; prints a digest of the weight bytes, then one of the bytes of
+#: ``predict`` on 600 windows, which it computes in concurrent halves.
 ADAM_RUN = """
 import hashlib
 import numpy as np
@@ -307,12 +308,14 @@ digest = hashlib.sha256()
 for name in sorted(params):
     digest.update(params[name].data.tobytes())
 print(digest.hexdigest())
+print(hashlib.sha256(model.predict(rng.standard_normal((600, 24, 21))).tobytes()).hexdigest())
 """
 
 
 def test_weights_independent_of_blas_threads():
-    """One and two BLAS threads train mstim to the same weight bytes, so the
-    program needs no thread default."""
+    """One and two BLAS threads train mstim to the same weight bytes, and
+    its predictions then have the same bytes, so the program needs no thread
+    default."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     digests = []
     for threads in ("1", "2"):
@@ -321,8 +324,8 @@ def test_weights_independent_of_blas_threads():
         done = subprocess.run([sys.executable, "-c", ADAM_RUN], env=env, capture_output=True,
                               text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        digests.append(done.stdout.strip())
-    assert digests[0] == digests[1]
+        digests.append(done.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 def trained_reports(*kinds):
